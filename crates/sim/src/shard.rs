@@ -31,7 +31,7 @@
 //!   serially or on any number of threads yields byte-identical exchanges.
 //!
 //! The module is model-agnostic: `kooza-gfs` layers its cluster protocol
-//! on top (see `sharded.rs` there), and `examples/incast.rs` shows a
+//! on top (see `cluster/shard.rs` there), and `examples/incast.rs` shows a
 //! minimal two-shard model.
 
 use crate::time::{SimDuration, SimTime};

@@ -104,4 +104,25 @@ echo "== fabric determinism: rack topology identical at KOOZA_THREADS=8, legacy 
 KOOZA_THREADS=8 cargo test -q --offline --test fabric_determinism
 cargo test -q --offline --test fabric_properties
 
+echo "== benchmark digests: perfbench reproduces perfbench/expected.txt =="
+# Tier-1 tests pin shard counts 1 and 4; the benchmark's recorded digests
+# also pin the 8-shard default that `kooza simulate --servers 64` runs,
+# the rack/fault path and the model pipeline. Every line recorded for
+# seeds 0-2 must appear verbatim in perfbench/expected.txt.
+for workload in sim_traced sim_sharded sim_rack_faults model_pipeline; do
+    recorded=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --record 0-2)
+    if [ "$(grep -c . <<<"$recorded")" -ne 3 ]; then
+        echo "$workload: expected 3 recorded digests, got: $recorded" >&2
+        exit 1
+    fi
+    unexpected=$(grep -vxFf perfbench/expected.txt <<<"$recorded" || true)
+    if [ -n "$unexpected" ]; then
+        echo "$workload digests missing from perfbench/expected.txt:" >&2
+        echo "$unexpected" >&2
+        exit 1
+    fi
+    echo "ok: $workload seeds 0-2 match"
+done
+
 echo "verify: OK"
