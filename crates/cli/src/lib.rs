@@ -69,6 +69,9 @@ fault spec (comma-separated key=value; all keys optional):
   retries      max client retries before a request fails
   batch/detect re-replication batch size / failure-detection delay (secs)
   seed         fault-plan RNG stream (independent of the workload seed)
+  bounds: mttf/mttr/degraded/detect and a request's summed retry
+  timeouts at most 1e8 secs, slow at most 1e3, mttf at least 1e-3 secs,
+  retries at most 1000
 
 trace formats (any command reading --trace or writing --out):
   --format     jsonl|ktc; when omitted, a .ktc extension selects KTC,
@@ -785,6 +788,8 @@ mod tests {
     fn bad_fault_specs_are_rejected() {
         assert!(run(&args("simulate --out /tmp/x --faults nonsense")).is_err());
         assert!(run(&args("simulate --out /tmp/x --faults mttf=-1")).is_err());
+        // A timeout that would overflow the simulated clock.
+        assert!(run(&args("simulate --out /tmp/x --faults timeout=1e300")).is_err());
         assert!(run(&args("validate --faults gibberish=1")).is_err());
     }
 

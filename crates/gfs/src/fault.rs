@@ -24,6 +24,29 @@ use kooza_stats::dist::{Distribution, Exponential};
 
 use crate::{GfsError, Result};
 
+/// Longest span a time knob may reach in its worst case, seconds (about
+/// three years). Each knob is added to some instant of a run, and
+/// crash/repair draws reach at most ~37 means, so everything stays well
+/// inside the simulated clock (`u64` nanoseconds, about 584 years).
+const MAX_TIME_KNOB_SECS: f64 = 1e8;
+
+/// Shortest mean time to failure, seconds. The plan holds about
+/// `horizon / mttf` crash windows per server, so a sub-millisecond mean
+/// (shorter than one request's service) would fill memory, not a run.
+const MIN_MTTF_SECS: f64 = 1e-3;
+
+/// Most retries per request. A timeout shorter than the service time
+/// makes every attempt time out, so the retry count alone bounds the work
+/// (and the phases recorded) per request.
+const MAX_RETRIES: u32 = 1000;
+
+/// Largest degraded-disk slowdown factor; it multiplies disk service
+/// times, which must stay on the simulated clock too.
+const MAX_DISK_SLOWDOWN: f64 = 1e3;
+
+/// Attempts past this many stop growing the timeout.
+const MAX_BACKOFF_EXPONENT: u32 = 16;
+
 /// Fault-injection knobs. `ClusterConfig::faults = Some(spec)` arms them;
 /// `None` (the default) keeps the simulator on the exact healthy path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +104,14 @@ impl FaultSpec {
     /// Keys: `mttf`, `mttr`, `slow`, `degraded`, `drop`, `timeout`,
     /// `backoff`, `retries`, `batch`, `detect`, `seed`. An empty string
     /// yields the defaults.
+    ///
+    /// Knobs are bounded so every instant a run schedules fits on the
+    /// simulated clock: `mttf`, `mttr`, `degraded`, `detect` and the
+    /// longest retry chain (each attempt's timeout, `timeout ×
+    /// backoff^min(attempt, 16)`, summed over `retries + 1` attempts) are
+    /// each at most `1e8` seconds (about three years), `slow` is at most
+    /// `1e3`. To bound a run's work, `mttf` is at least `1e-3` seconds and
+    /// `retries` at most `1000`.
     ///
     /// # Errors
     ///
@@ -145,11 +176,11 @@ impl FaultSpec {
                 });
             }
         }
-        if !(self.max_disk_slowdown.is_finite() && self.max_disk_slowdown >= 1.0) {
+        if !(1.0..=MAX_DISK_SLOWDOWN).contains(&self.max_disk_slowdown) {
             return Err(GfsError::InvalidConfig {
                 field: "faults",
                 detail: format!(
-                    "max_disk_slowdown must be >= 1 (got {})",
+                    "max_disk_slowdown must lie in [1, {MAX_DISK_SLOWDOWN}] (got {})",
                     self.max_disk_slowdown
                 ),
             });
@@ -178,15 +209,56 @@ impl FaultSpec {
                 detail: format!("backoff must be >= 1 (got {})", self.backoff),
             });
         }
+        if self.max_retries > MAX_RETRIES {
+            return Err(GfsError::InvalidConfig {
+                field: "faults",
+                detail: format!(
+                    "max_retries must be at most {MAX_RETRIES} (got {})",
+                    self.max_retries
+                ),
+            });
+        }
+        let retry_chain: f64 = (0..=self.max_retries)
+            .map(|attempt| self.timeout_secs(attempt))
+            .sum();
+        let worst_cases = [
+            ("mttf_secs", self.mttf_secs),
+            ("mttr_secs", self.mttr_secs),
+            ("degraded_secs", self.degraded_secs),
+            ("detect_secs", self.detect_secs),
+            ("the retry chain (all timeouts of one request)", retry_chain),
+        ];
+        for (knob, secs) in worst_cases {
+            if secs > MAX_TIME_KNOB_SECS {
+                return Err(GfsError::InvalidConfig {
+                    field: "faults",
+                    detail: format!(
+                        "{knob} must be at most {MAX_TIME_KNOB_SECS:e} s (got {secs:e})"
+                    ),
+                });
+            }
+        }
+        if self.mttf_secs < MIN_MTTF_SECS {
+            return Err(GfsError::InvalidConfig {
+                field: "faults",
+                detail: format!(
+                    "mttf_secs must be at least {MIN_MTTF_SECS:e} s (got {})",
+                    self.mttf_secs
+                ),
+            });
+        }
         Ok(())
     }
 
     /// The timeout for attempt `attempt` (0-based): `retry_timeout_secs ×
-    /// backoff^attempt`, with the exponent capped so the duration never
-    /// overflows.
+    /// backoff^attempt`, with the exponent capped at 16 so the duration
+    /// never overflows.
     pub fn timeout_for_attempt(&self, attempt: u32) -> SimDuration {
-        let exp = attempt.min(16);
-        SimDuration::from_secs_f64(self.retry_timeout_secs * self.backoff.powi(exp as i32))
+        SimDuration::from_secs_f64(self.timeout_secs(attempt))
+    }
+
+    fn timeout_secs(&self, attempt: u32) -> f64 {
+        self.retry_timeout_secs * self.backoff.powi(attempt.min(MAX_BACKOFF_EXPONENT) as i32)
     }
 }
 
@@ -394,6 +466,21 @@ mod tests {
         assert!(FaultSpec::parse("drop=1.0").is_err());
         assert!(FaultSpec::parse("slow=0.5").is_err());
         assert!(FaultSpec::parse("backoff=0.9").is_err());
+        // Knobs whose worst case would overflow the simulated clock.
+        assert!(FaultSpec::parse("timeout=1e300").is_err());
+        assert!(FaultSpec::parse("timeout=10,backoff=10").is_err());
+        assert!(FaultSpec::parse("timeout=1e6,backoff=1,retries=100").is_err());
+        assert!(FaultSpec::parse("detect=1e300,mttf=0.01").is_err());
+        assert!(FaultSpec::parse("mttf=1e308").is_err());
+        assert!(FaultSpec::parse("mttr=1e308").is_err());
+        assert!(FaultSpec::parse("degraded=1e300").is_err());
+        assert!(FaultSpec::parse("slow=1e300").is_err());
+        // Knobs that would make a run's work unbounded.
+        assert!(FaultSpec::parse("mttf=1e-9").is_err());
+        assert!(FaultSpec::parse("retries=4294967295,timeout=1e-9").is_err());
+        // The bounds themselves are accepted.
+        assert!(FaultSpec::parse("mttf=1e8,mttr=1e8,degraded=1e8,detect=1e8,slow=1e3").is_ok());
+        assert!(FaultSpec::parse("mttf=0.001,timeout=1e5,backoff=1,retries=999").is_ok());
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! * [`MarkovChain`] — first-order discrete chains: training by transition
 //!   counting with Laplace smoothing, generation, stationary distribution,
 //!   entropy rate and log-likelihood scoring.
-//! * [`HierarchicalMarkov`] — the two-level state diagram of Sankar et
-//!   al.'s storage model (outer states = spatial locality groups, inner
-//!   states = request behaviour within a group).
 //! * [`DiscreteHmm`] / [`GaussianHmm`] — hidden Markov models with
 //!   Baum–Welch training and Viterbi decoding; the Gaussian-emission
 //!   variant is the simplified form of Moro et al.'s Ergodic Continuous
@@ -38,11 +35,9 @@
 #![warn(missing_debug_implementations)]
 
 mod chain;
-mod hierarchical;
 mod hmm;
 
 pub use chain::{MarkovChain, MarkovChainBuilder};
-pub use hierarchical::HierarchicalMarkov;
 pub use hmm::{DiscreteHmm, GaussianHmm, HmmFit};
 
 /// Errors from Markov-model construction and training.

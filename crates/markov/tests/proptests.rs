@@ -4,7 +4,7 @@
 use kooza_check::gen::{f64_range, u64_range, usize_range, vec_of, zip2, zip3};
 use kooza_check::{checker, ensure, ensure_eq};
 
-use kooza_markov::{DiscreteHmm, GaussianHmm, HierarchicalMarkov, MarkovChainBuilder};
+use kooza_markov::{DiscreteHmm, GaussianHmm, MarkovChainBuilder};
 use kooza_sim::rng::Rng64;
 
 /// Generated sequences only visit declared states, for any training
@@ -49,36 +49,6 @@ fn smoothing_tradeoff() {
                 tight.log_likelihood(seq).unwrap() >= loose.log_likelihood(seq).unwrap() - 1e-9,
                 "smoothing improved the training fit"
             );
-            Ok(())
-        },
-    );
-}
-
-/// Hierarchical models generate only in-range (group, state) pairs and
-/// train on whatever they generate (closure).
-#[test]
-fn hierarchical_closure() {
-    checker("hierarchical_closure").run(
-        zip2(u64_range(0, 500), usize_range(10, 300)),
-        |&(seed, len)| {
-            let mut rng = Rng64::new(seed);
-            // Random-ish training sequence.
-            let seq: Vec<(usize, usize)> = (0..len.max(2))
-                .map(|_| (rng.next_bounded(3) as usize, rng.next_bounded(2) as usize))
-                .collect();
-            let model = HierarchicalMarkov::train(&seq, 3, 2, 0.5).unwrap();
-            let generated = model.generate(len, &mut rng);
-            ensure!(
-                generated.iter().all(|&(g, s)| g < 3 && s < 2),
-                "generated out-of-range pair"
-            );
-            // Re-training on generated output succeeds (format closure).
-            if generated.len() >= 2 {
-                ensure!(
-                    HierarchicalMarkov::train(&generated, 3, 2, 0.5).is_ok(),
-                    "retraining on generated output failed"
-                );
-            }
             Ok(())
         },
     );

@@ -2,8 +2,7 @@
 //! (Pollaczek–Khinchine).
 //!
 //! These are the ground truth the simulated networks in [`crate::network`]
-//! are validated against, and the analytic core of Liu et al.'s multi-tier
-//! model in [`crate::tier`].
+//! are validated against.
 
 use crate::{QueueError, Result};
 

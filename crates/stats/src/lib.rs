@@ -18,8 +18,6 @@
 //! * [`pca`] — principal component analysis for feature-space reduction
 //!   (Abrahao's CPU-pattern categorization; KOOZA §4).
 //! * [`cluster`] — k-means and Gaussian-mixture model-based clustering.
-//! * [`histogram`] — one- and multi-dimensional (VU-list) histograms
-//!   (Luthi's histogram-based characterization).
 //! * [`regression`] — ordinary least squares.
 //! * [`matrix`] — a small dense linear-algebra kernel backing the above.
 //! * [`summary`] — percentiles, burstiness and dispersion measures.
@@ -48,7 +46,6 @@ pub mod ad;
 pub mod cluster;
 pub mod dist;
 pub mod fit;
-pub mod histogram;
 pub mod hurst;
 pub mod ks;
 pub mod matrix;

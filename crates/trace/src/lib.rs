@@ -6,15 +6,12 @@
 //!   tag all message records with a unique global identifier").
 //! * [`span`] — Dapper-style span trees: nested timed sections with
 //!   annotations, reconstructed into per-request trees.
-//! * [`sampler`] — 1-in-N deterministic trace sampling and GWP-style
-//!   adaptive sampling.
+//! * [`sampler`] — 1-in-N deterministic trace sampling.
 //! * [`store`] — the [`TraceSet`](store::TraceSet) container with JSONL
 //!   persistence.
 //! * [`characterize`] — per-subsystem workload characterization (read/write
 //!   mix, seek distances, inter-arrivals, burstiness, CPU pattern
 //!   classification per Abrahao et al.).
-//! * [`profile`] — GWP-style whole-machine profile time series (Ren et
-//!   al.): windowed arrival rates, CPU busy fractions and I/O counters.
 //! * [`view`] — zero-copy borrowed views ([`TraceView`](view::TraceView))
 //!   and per-shard grouping ([`ShardedTrace`](view::ShardedTrace)) so
 //!   parallel consumers share one owned trace instead of cloning it.
@@ -27,7 +24,6 @@
 
 pub mod characterize;
 pub mod ktc;
-pub mod profile;
 pub mod record;
 pub mod sampler;
 pub mod span;

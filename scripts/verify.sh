@@ -3,7 +3,9 @@
 #
 # The workspace must build and test with NO network access and NO external
 # crates. This script is the single command CI (and humans) run to check
-# that; it fails if any Cargo.toml reintroduces a registry dependency.
+# that; it fails if any Cargo.toml reintroduces a registry dependency. The
+# benchmark package (perfbench/, its own workspace, also built --offline
+# below) is held to the same rule; the guard only reads its files.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,7 +15,7 @@ echo "== dependency guard: no registry deps allowed =="
 # dep (workspace-internal deps are path-only). `version.workspace = true`
 # under [package] is fine, as is the workspace's own version key.
 bad=0
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml; do
     if awk '
         /^\[/ { in_deps = ($0 ~ /dependencies/) }
         in_deps && /version[[:space:]]*=/ { found = 1 }
@@ -23,10 +25,12 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
         bad=1
     fi
 done
-if grep -Rn 'crates-io\|registry+' Cargo.lock 2>/dev/null | head -1; then
-    echo "Cargo.lock references a registry" >&2
-    bad=1
-fi
+for lock in Cargo.lock perfbench/Cargo.lock; do
+    if grep -n 'crates-io\|registry+' "$lock" 2>/dev/null | head -1; then
+        echo "$lock references a registry" >&2
+        bad=1
+    fi
+done
 [ "$bad" -eq 0 ] || exit 1
 echo "ok: all dependencies are path dependencies"
 

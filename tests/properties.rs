@@ -5,7 +5,7 @@
 //! `KOOZA_CHECK_CASES` / `KOOZA_CHECK_SEED`), so a green run is green
 //! everywhere.
 
-use kooza_check::gen::{f64_range, u64_range, usize_range, vec_of, zip2, zip3, zip4, zip6};
+use kooza_check::gen::{choice, f64_range, u64_range, usize_range, vec_of, zip2, zip3, zip4, zip6};
 use kooza_check::{checker, ensure};
 
 use kooza_markov::MarkovChainBuilder;
@@ -322,6 +322,103 @@ fn mailbox_exchange_is_canonical_and_permutation_invariant() {
                     ensure!(sent_to % n == to, "message {} leaked to shard {to}", env.msg);
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// Values a spec knob may be handed instead of an ordinary one: tiny,
+/// huge, negative and non-finite numbers, integers at and past the
+/// `u32`/`u64` limits, and junk.
+const EXTREME_VALUES: &[&str] = &[
+    "0", "-1", "1e-300", "1e-9", "1e6", "1e300", "1e308", "inf", "-inf", "NaN", "4294967295",
+    "18446744073709551616", "", "x",
+];
+
+/// Every key `--faults` accepts, with an ordinary value, plus one key it
+/// does not accept.
+const FAULT_KEYS: &[(&str, &str)] = &[
+    ("mttf", "3"),
+    ("mttr", "0.5"),
+    ("slow", "2"),
+    ("degraded", "1"),
+    ("drop", "0.02"),
+    ("timeout", "0.4"),
+    ("backoff", "2"),
+    ("retries", "10"),
+    ("batch", "4"),
+    ("detect", "0.1"),
+    ("seed", "7"),
+    ("warp", "1"),
+];
+
+/// `--shards` values; the empty string leaves the option out.
+const SHARD_VALUES: &[&str] =
+    &["", "auto", "1", "2", "4", "8", "0", "-1", "1e3", "18446744073709551615", "x"];
+
+/// An extreme value one time in three (`roll == 2`), else the ordinary
+/// one; shrinking rolls toward 0, so counterexamples keep only the
+/// extremes that matter.
+fn spec_value(roll: u64, ordinary: &str, extreme: &str) -> String {
+    if roll == 2 { extreme } else { ordinary }.to_string()
+}
+
+/// Every `--faults`/`--topology`/`--shards` string `kooza simulate`
+/// accepts runs a tiny cluster to completion; every other one is a typed
+/// error. Neither may panic.
+#[test]
+fn spec_strings_are_rejected_or_run() {
+    let extreme = || choice(EXTREME_VALUES.to_vec());
+    checker("spec_strings_are_rejected_or_run").run(
+        zip3(
+            // --faults: up to four key=value pairs (none: option left out).
+            vec_of(zip3(usize_range(0, FAULT_KEYS.len()), u64_range(0, 3), extreme()), 0, 4),
+            // --topology: left out, `none`, or rack:<spr>:<oversub>.
+            zip6(
+                u64_range(0, 4),
+                u64_range(1, 4),
+                u64_range(0, 3),
+                extreme(),
+                u64_range(0, 3),
+                extreme(),
+            ),
+            choice(SHARD_VALUES.to_vec()),
+        ),
+        |(faults, (topology, spr_ordinary, spr_roll, spr, oversub_roll, oversub), shards)| {
+            let out = std::env::temp_dir()
+                .join(format!("kooza-spec-property-{}.jsonl", std::process::id()));
+            let mut args: Vec<String> = ["simulate", "--servers", "4", "--requests", "20", "--out"]
+                .map(String::from)
+                .into();
+            args.push(out.to_string_lossy().into_owned());
+            if !faults.is_empty() {
+                let pairs: Vec<String> = faults
+                    .iter()
+                    .map(|&(key, roll, extreme)| {
+                        let (key, ordinary) = FAULT_KEYS[key];
+                        format!("{key}={}", spec_value(roll, ordinary, extreme))
+                    })
+                    .collect();
+                args.extend(["--faults".to_string(), pairs.join(",")]);
+            }
+            match topology {
+                0 => {}
+                1 => args.extend(["--topology".to_string(), "none".to_string()]),
+                _ => args.extend([
+                    "--topology".to_string(),
+                    format!(
+                        "rack:{}:{}",
+                        spec_value(*spr_roll, &spr_ordinary.to_string(), spr),
+                        spec_value(*oversub_roll, "1.5", oversub)
+                    ),
+                ]),
+            }
+            if !shards.is_empty() {
+                args.extend(["--shards".to_string(), shards.to_string()]);
+            }
+            let ran = std::panic::catch_unwind(|| kooza_cli::run(&args));
+            let _ = std::fs::remove_file(&out);
+            ensure!(ran.is_ok(), "`kooza {}` panicked", args.join(" "));
             Ok(())
         },
     );
