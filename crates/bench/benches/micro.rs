@@ -229,8 +229,8 @@ fn bench_exec_par_map(h: &mut Harness) {
 
 fn bench_fleet_train(h: &mut Harness) {
     // Per-server KOOZA training on a 4-server replicated cluster. The
-    // serial baseline fits each server's view in a loop; the parallel
-    // variant is the production `KoozaFleet::fit_views` path. The ratio of
+    // serial baseline fits each server's trace in a loop; the parallel
+    // variant is the production `KoozaFleet::fit` path. The ratio of
     // their medians is the fleet-training speedup (reported in the
     // KOOZA_BENCH_JSON output; ~1.0 on a single-core host).
     let n_servers = 4;
@@ -243,16 +243,15 @@ fn bench_fleet_train(h: &mut Harness) {
         ..WorkloadMix::read_heavy()
     };
     let outcome = Cluster::new(&config).unwrap().run(2_000, 14);
-    let views = outcome.server_views();
+    let traces = outcome.server_traces();
     h.bench_function("fleet_serial_train", |b| {
         b.iter(|| {
-            let fleet: Vec<Kooza> =
-                views.iter().map(|v| Kooza::fit_view(v).unwrap()).collect();
+            let fleet: Vec<Kooza> = traces.iter().map(|t| Kooza::fit(t).unwrap()).collect();
             black_box(fleet.len())
         })
     });
     h.bench_function("fleet_parallel_train", |b| {
-        b.iter(|| black_box(KoozaFleet::fit_views(&views).unwrap().len()))
+        b.iter(|| black_box(KoozaFleet::fit(&traces).unwrap().len()))
     });
 }
 

@@ -7,7 +7,7 @@
 //! arrival rate and latency — and that fleet model size grows linearly
 //! (the Table-1 scalability column, measured).
 
-use kooza::class::assemble_observations_view;
+use kooza::class::assemble_observations;
 use kooza::{KoozaFleet, ReplayConfig};
 use kooza_bench::{banner, section, EXPERIMENT_SEED};
 use kooza_gfs::{Cluster, ClusterConfig, WorkloadMix};
@@ -28,10 +28,10 @@ fn main() {
     let mut cluster = Cluster::new(&config).expect("config");
     let outcome = cluster.run(4000, EXPERIMENT_SEED);
 
-    // Per-server training reads borrowed views over the single owned trace
-    // (no per-server clones) and fits the instances in parallel.
-    let views = outcome.server_views();
-    let fleet = KoozaFleet::fit_views(&views).expect("fleet trains");
+    // Split the cluster trace by serving chunkserver and fit the
+    // per-server instances in parallel.
+    let traces = outcome.server_traces();
+    let fleet = KoozaFleet::fit(&traces).expect("fleet trains");
     let mut rng = Rng64::new(EXPERIMENT_SEED + 4);
     let streams = fleet.generate_per_server(1000, &mut rng);
 
@@ -40,8 +40,8 @@ fn main() {
         "{:>8} {:>12} {:>12} {:>14} {:>14}",
         "server", "rate orig", "rate model", "lat orig (ms)", "lat model (ms)"
     );
-    for (i, view) in views.iter().enumerate() {
-        let obs = assemble_observations_view(view).expect("assembles");
+    for (i, trace) in traces.iter().enumerate() {
+        let obs = assemble_observations(trace).expect("assembles");
         let span_secs = (obs.last().unwrap().arrival_nanos - obs[0].arrival_nanos) as f64 / 1e9;
         let orig_rate = (obs.len() - 1) as f64 / span_secs;
         let orig_lat = obs.iter().map(|o| o.latency_nanos as f64 / 1e6).sum::<f64>()

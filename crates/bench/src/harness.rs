@@ -13,7 +13,6 @@
 //!   double as cheap integration tests.
 //! - `--mode smoke|full` picks the mode explicitly, overriding the flags
 //!   cargo passes (`kooza_bench --mode smoke` in CI, for example).
-//! - `KOOZA_BENCH_FULL=1` forces full mode regardless of flags.
 //! - `KOOZA_BENCH_JSON=<path>` additionally writes the results as a JSON
 //!   array to `<path>`.
 //! - `--baseline <json>` loads a previously archived BENCH_*.json report
@@ -184,10 +183,7 @@ impl Harness {
         // `--bench` to bench-target invocations, so `cargo bench -- --test`
         // sees both and should still smoke-run. An explicit `--mode` beats
         // both cargo flags.
-        let mut full = explicit_mode.unwrap_or(saw_bench && !saw_test);
-        if std::env::var("KOOZA_BENCH_FULL").map(|v| v == "1").unwrap_or(false) {
-            full = true;
-        }
+        let full = explicit_mode.unwrap_or(saw_bench && !saw_test);
         let baseline = baseline_path.map(|path| {
             let medians = load_baseline(&path)
                 .unwrap_or_else(|e| panic!("loading --baseline {path}: {e}"));
@@ -388,7 +384,7 @@ impl Harness {
         println!(
             "\n{} benchmark(s) done ({mode} mode{})",
             self.results.len(),
-            if self.full { "" } else { "; run `cargo bench` or set KOOZA_BENCH_FULL=1 for stable numbers" }
+            if self.full { "" } else { "; run `cargo bench` or pass `--mode full` for stable numbers" }
         );
         if let Some((path, _)) = &self.baseline {
             let diffs = self.baseline_diffs();

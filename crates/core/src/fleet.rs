@@ -12,7 +12,6 @@
 //! bit-identical at any thread count.
 
 use kooza_sim::rng::Rng64;
-use kooza_trace::view::TraceView;
 use kooza_trace::TraceSet;
 
 use crate::kooza::Kooza;
@@ -25,7 +24,10 @@ pub struct KoozaFleet {
 }
 
 impl KoozaFleet {
-    /// Trains one model per server trace.
+    /// Trains one model per server trace — for a simulated cluster,
+    /// [`kooza_gfs::ClusterOutcome::server_traces`]. Per-server fits run
+    /// in parallel; fitting draws no randomness, so the result is
+    /// identical at any thread count.
     ///
     /// Every server must have a trainable trace; a server that saw no
     /// requests is a configuration problem the caller should see, not
@@ -36,26 +38,11 @@ impl KoozaFleet {
     /// Propagates the first per-server training failure, or errors on an
     /// empty fleet.
     pub fn fit(per_server_traces: &[TraceSet]) -> Result<Self> {
-        let views: Vec<TraceView<'_>> = per_server_traces.iter().map(TraceSet::as_view).collect();
-        Self::fit_views(&views)
-    }
-
-    /// Trains one model per borrowed server view — the zero-copy path for
-    /// [`kooza_gfs::ClusterOutcome::server_views`]: the cluster trace is
-    /// stored once and each training task reads its server's slice.
-    /// Per-server fits run in parallel; fitting draws no randomness, so
-    /// the result is identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-server training failure, or errors on an
-    /// empty fleet.
-    pub fn fit_views(views: &[TraceView<'_>]) -> Result<Self> {
-        if views.is_empty() {
+        if per_server_traces.is_empty() {
             return Err(ModelError::InsufficientRequests { needed: 1, got: 0 });
         }
         let servers: Result<Vec<Kooza>> = kooza_obs::global::stage("fleet.train", || {
-            kooza_exec::par_map(views, Kooza::fit_view).into_iter().collect()
+            kooza_exec::par_map(per_server_traces, Kooza::fit).into_iter().collect()
         });
         let fleet = KoozaFleet { servers: servers? };
         kooza_obs::global::counter_add("fleet.servers_trained", fleet.len() as u64);
@@ -139,22 +126,22 @@ mod tests {
     #[test]
     fn per_server_views_partition_the_cluster_trace() {
         let outcome = multi_server_outcome();
-        let views = outcome.server_views();
-        assert_eq!(views.len(), 3);
-        let total_net: usize = views.iter().map(|v| v.network.len()).sum();
+        let traces = outcome.server_traces();
+        assert_eq!(traces.len(), 3);
+        let total_net: usize = traces.iter().map(|t| t.network.len()).sum();
         assert_eq!(total_net, outcome.trace.network.len());
-        let total_cpu: usize = views.iter().map(|v| v.cpu.len()).sum();
+        let total_cpu: usize = traces.iter().map(|t| t.cpu.len()).sum();
         assert_eq!(total_cpu, outcome.trace.cpu.len());
         // Reads spread across replicas: every server served a share.
-        for v in &views {
-            assert!(v.cpu.len() > 300, "server saw only {} requests", v.cpu.len());
+        for t in &traces {
+            assert!(t.cpu.len() > 300, "server saw only {} requests", t.cpu.len());
         }
     }
 
     #[test]
     fn fleet_trains_and_generates() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome.server_traces()).unwrap();
         assert_eq!(fleet.len(), 3);
         assert!(!fleet.is_empty());
         let mut rng = Rng64::new(1);
@@ -169,7 +156,7 @@ mod tests {
     #[test]
     fn parallel_generation_is_deterministic() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome.server_traces()).unwrap();
         // Same seed → identical streams, and the caller's RNG leaves in
         // the same state (children are forked serially before the fan-
         // out). Thread-count invariance of the whole pipeline is pinned
@@ -185,7 +172,7 @@ mod tests {
     #[test]
     fn aggregate_rate_matches_cluster_rate() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome.server_traces()).unwrap();
         // Cluster offered 100 req/s; per-server models should sum back.
         let agg = fleet.aggregate_rate();
         assert!((agg - 100.0).abs() < 12.0, "aggregate rate {agg}");
@@ -194,7 +181,7 @@ mod tests {
     #[test]
     fn per_server_models_reflect_per_server_load() {
         let outcome = multi_server_outcome();
-        let fleet = KoozaFleet::fit_views(&outcome.server_views()).unwrap();
+        let fleet = KoozaFleet::fit(&outcome.server_traces()).unwrap();
         for (i, model) in fleet.iter().enumerate() {
             let rate = model.network().mean_rate();
             // 3-way-replicated reads split roughly evenly.
@@ -204,22 +191,25 @@ mod tests {
 
     #[test]
     fn owned_trace_fit_still_works() {
-        // The owned-TraceSet entry point stays as a thin wrapper.
+        // The fleet is exactly one independent fit per server trace.
         let outcome = multi_server_outcome();
-        let owned: Vec<TraceSet> =
-            outcome.server_views().iter().map(|v| v.to_owned_set()).collect();
-        let fleet = KoozaFleet::fit(&owned).unwrap();
+        let traces = outcome.server_traces();
+        let fleet = KoozaFleet::fit(&traces).unwrap();
         assert_eq!(fleet.len(), 3);
+        for (model, trace) in fleet.iter().zip(&traces) {
+            let solo = Kooza::fit(trace).unwrap();
+            assert_eq!(model.parameter_count(), solo.parameter_count());
+            assert_eq!(model.trained_requests(), solo.trained_requests());
+        }
     }
 
     #[test]
     fn empty_fleet_rejected() {
         assert!(KoozaFleet::fit(&[]).is_err());
-        assert!(KoozaFleet::fit_views(&[]).is_err());
         // A server with an empty trace fails loudly.
         let outcome = multi_server_outcome();
-        let mut views = outcome.server_views();
-        views.push(TraceView::default());
-        assert!(KoozaFleet::fit_views(&views).is_err());
+        let mut traces = outcome.server_traces();
+        traces.push(TraceSet::new());
+        assert!(KoozaFleet::fit(&traces).is_err());
     }
 }

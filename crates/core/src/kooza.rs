@@ -3,10 +3,9 @@
 use kooza_sim::rng::Rng64;
 use kooza_stats::dist::Distribution;
 use kooza_trace::record::IoOp;
-use kooza_trace::view::TraceView;
 use kooza_trace::TraceSet;
 
-use crate::class::assemble_observations_view;
+use crate::class::assemble_observations;
 use crate::structure::StructureModel;
 use crate::subsystem::{CpuChainModel, MemoryChainModel, NetworkModel, StorageChainModel};
 use crate::{PhaseDemand, Result, SyntheticRequest, WorkloadModel};
@@ -89,28 +88,8 @@ impl Kooza {
     ///
     /// Same as [`fit`](Kooza::fit), plus invalid (zero) knob values.
     pub fn fit_with(trace: &TraceSet, options: KoozaOptions) -> Result<Self> {
-        Self::fit_with_view(&trace.as_view(), options)
-    }
-
-    /// Trains on a borrowed [`TraceView`] with default detail — the
-    /// zero-copy path [`crate::KoozaFleet`] uses to train one model per
-    /// server-slice of a single owned cluster trace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`fit`](Kooza::fit).
-    pub fn fit_view(trace: &TraceView<'_>) -> Result<Self> {
-        Self::fit_with_view(trace, KoozaOptions::default())
-    }
-
-    /// Trains on a borrowed [`TraceView`] with explicit detail knobs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`fit_with`](Kooza::fit_with).
-    pub fn fit_with_view(trace: &TraceView<'_>, options: KoozaOptions) -> Result<Self> {
         kooza_obs::global::stage("train", || {
-            let observations = assemble_observations_view(trace)?;
+            let observations = assemble_observations(trace)?;
             let network = NetworkModel::fit(&observations)?;
             let cpu = CpuChainModel::fit_with_bins(&observations, options.cpu_bins)?;
             // Memory/storage streams may legitimately be absent (e.g. a fully

@@ -68,10 +68,7 @@ pub use class::{ClassSignature, RequestObservation};
 pub use fleet::KoozaFleet;
 pub use inbreadth::InBreadthModel;
 pub use indepth::InDepthModel;
-pub use replay::{
-    replay_latency_secs, replay_loaded_latency_secs, replay_loaded_latency_secs_batches,
-    ReplayConfig,
-};
+pub use replay::{replay_loaded_latency_secs, ReplayConfig};
 pub use validate::{
     fault_drift, validate_batch, FaultDriftReport, FaultDriftRow, ValidationCase,
 };

@@ -9,12 +9,14 @@
 //! per-subsystem demands gets the right latency, and one that mis-orders
 //! or mis-correlates demands does not.
 //!
-//! Replay is one-request-at-a-time (no queueing), matching the paper's
-//! single-request Table 2 experiments; hardware state (disk head, memory
-//! bank) persists across requests so locality still matters.
+//! Replay is loaded: requests arrive at their generated inter-arrival
+//! times and queue for the CPU, disk and NIC, as in the simulator, so a
+//! single isolated request costs exactly the sum of its phases. Hardware
+//! state (disk head, memory bank) persists across requests, so locality
+//! still matters.
 
-use kooza_gfs::{CpuModel, DiskModel, LinkModel, MemoryModel};
 use kooza_gfs::{ClusterConfig, CpuParams, DiskParams, LinkParams, MemoryParams};
+use kooza_gfs::{DiskModel, LinkModel, MemoryModel};
 
 use crate::{PhaseDemand, SyntheticRequest};
 
@@ -31,7 +33,7 @@ pub struct ReplayConfig {
     pub memory: MemoryParams,
     /// Link parameters.
     pub link: LinkParams,
-    /// CPU parameters (used only for core count bookkeeping).
+    /// CPU parameters (the core count sizes the replay CPU pool).
     pub cpu: CpuParams,
 }
 
@@ -44,69 +46,6 @@ impl From<&ClusterConfig> for ReplayConfig {
             cpu: c.cpu,
         }
     }
-}
-
-
-/// Stateful replayer: hardware state persists across requests.
-#[derive(Debug)]
-pub struct Replayer {
-    disk: DiskModel,
-    memory: MemoryModel,
-    link: LinkModel,
-    #[allow(dead_code)]
-    cpu: CpuModel,
-}
-
-impl Replayer {
-    /// Creates a replayer with fresh hardware state.
-    pub fn new(config: ReplayConfig) -> Self {
-        Replayer {
-            disk: DiskModel::new(config.disk),
-            memory: MemoryModel::new(config.memory),
-            link: LinkModel::new(config.link),
-            cpu: CpuModel::new(config.cpu),
-        }
-    }
-
-    /// Latency of one request in seconds: the sum of its phase times on
-    /// this hardware.
-    pub fn latency_secs(&mut self, request: &SyntheticRequest) -> f64 {
-        let mut total = 0.0f64;
-        for phase in &request.phases {
-            total += match phase {
-                PhaseDemand::NetworkIn { bytes } | PhaseDemand::NetworkOut { bytes } => {
-                    self.link.transfer(*bytes).as_secs_f64()
-                }
-                PhaseDemand::Cpu { busy_nanos } => *busy_nanos as f64 / 1e9,
-                PhaseDemand::Memory { bank, bytes, .. } => {
-                    self.memory.access(*bank, *bytes).as_secs_f64()
-                }
-                PhaseDemand::Disk { lbn, bytes, .. } => {
-                    self.disk.access(*lbn, *bytes).as_secs_f64()
-                }
-                PhaseDemand::Opaque { duration_nanos } => *duration_nanos as f64 / 1e9,
-            };
-        }
-        total
-    }
-}
-
-/// Replays a batch of requests, returning per-request latencies (seconds).
-pub fn replay_latency_secs(requests: &[SyntheticRequest], config: ReplayConfig) -> Vec<f64> {
-    let mut replayer = Replayer::new(config);
-    requests.iter().map(|r| replayer.latency_secs(r)).collect()
-}
-
-/// Replays several independent batches concurrently (each on its own
-/// fresh hardware state), returning per-batch latency vectors in batch
-/// order. Identical to calling [`replay_loaded_latency_secs`] per batch
-/// serially: contention exists within a batch, never across batches —
-/// the unit of parallelism for per-server and per-class replay.
-pub fn replay_loaded_latency_secs_batches(
-    batches: &[Vec<SyntheticRequest>],
-    config: ReplayConfig,
-) -> Vec<Vec<f64>> {
-    kooza_exec::par_map(batches, |batch| replay_loaded_latency_secs(batch, config))
 }
 
 /// Replays requests **with contention**: requests arrive at their
@@ -311,9 +250,13 @@ mod tests {
         }
     }
 
+    /// Loaded-replay latency of each request, alone on fresh hardware.
+    fn replay(requests: &[SyntheticRequest]) -> Vec<f64> {
+        replay_loaded_latency_secs(requests, ReplayConfig::default())
+    }
+
     #[test]
     fn latency_is_sum_of_phases() {
-        let mut r = Replayer::new(ReplayConfig::default());
         let req = SyntheticRequest {
             interarrival_secs: 0.0,
             phases: vec![
@@ -321,28 +264,24 @@ mod tests {
                 PhaseDemand::Opaque { duration_nanos: 2_000_000 },
             ],
         };
-        let lat = r.latency_secs(&req);
+        let lat = replay(&[req])[0];
         assert!((lat - 0.003).abs() < 1e-12, "lat {lat}");
     }
 
     #[test]
     fn bigger_requests_take_longer() {
-        let mut r = Replayer::new(ReplayConfig::default());
-        let small = r.latency_secs(&read_request(64 * 1024, 1_000_000));
-        let big = r.latency_secs(&read_request(4 * 1024 * 1024, 1_000_000));
+        let small = replay(&[read_request(64 * 1024, 1_000_000)])[0];
+        let big = replay(&[read_request(4 * 1024 * 1024, 1_000_000)])[0];
         assert!(big > 3.0 * small, "small {small} big {big}");
     }
 
     #[test]
     fn disk_head_state_carries_across_requests() {
-        let mut r = Replayer::new(ReplayConfig::default());
         // Request far away, then an adjacent one: the second is cheaper
         // than a far jump would be.
-        let _ = r.latency_secs(&read_request(4096, 1_000_000_000));
-        let near = r.latency_secs(&read_request(4096, 1_000_000_008));
-        let mut r2 = Replayer::new(ReplayConfig::default());
-        let _ = r2.latency_secs(&read_request(4096, 1_000_000_000));
-        let far = r2.latency_secs(&read_request(4096, 1));
+        let first = read_request(4096, 1_000_000_000);
+        let near = replay(&[first.clone(), read_request(4096, 1_000_000_008)])[1];
+        let far = replay(&[first, read_request(4096, 1)])[1];
         assert!(near < far, "near {near} far {far}");
     }
 
@@ -352,35 +291,13 @@ mod tests {
         // faster disk shows the win without touching application code.
         let reqs: Vec<SyntheticRequest> =
             (0..50).map(|i| read_request(1024 * 1024, i * 1_000_000)).collect();
-        let slow = replay_latency_secs(&reqs, ReplayConfig::default());
+        let slow = replay(&reqs);
         let mut fast_cfg = ReplayConfig::default();
         fast_cfg.disk.transfer_bytes_per_sec = 500e6; // SSD-class streaming
         fast_cfg.disk.seek_base_secs = 0.0001;
         fast_cfg.disk.seek_full_secs = 0.0002;
-        let fast = replay_latency_secs(&reqs, fast_cfg);
+        let fast = replay_loaded_latency_secs(&reqs, fast_cfg);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(&fast) < mean(&slow) * 0.7, "fast {} slow {}", mean(&fast), mean(&slow));
-    }
-
-    #[test]
-    fn batched_loaded_replay_matches_serial() {
-        let batches: Vec<Vec<SyntheticRequest>> = (0..3)
-            .map(|b| (0..20).map(|i| read_request(65536, (b * 100 + i) * 500_000)).collect())
-            .collect();
-        let parallel = replay_loaded_latency_secs_batches(&batches, ReplayConfig::default());
-        assert_eq!(parallel.len(), 3);
-        for (batch, latencies) in batches.iter().zip(&parallel) {
-            assert_eq!(*latencies, replay_loaded_latency_secs(batch, ReplayConfig::default()));
-        }
-    }
-
-    #[test]
-    fn batch_replay_matches_sequential() {
-        let reqs: Vec<SyntheticRequest> =
-            (0..10).map(|i| read_request(65536, i * 500_000)).collect();
-        let batch = replay_latency_secs(&reqs, ReplayConfig::default());
-        let mut replayer = Replayer::new(ReplayConfig::default());
-        let seq: Vec<f64> = reqs.iter().map(|r| replayer.latency_secs(r)).collect();
-        assert_eq!(batch, seq);
     }
 }

@@ -57,7 +57,6 @@
 //!   retries. Nothing implements this: it is the delivery delay.
 
 use kooza_sim::{shard_ranges, ShardedEngine, SimDuration, Tally};
-use kooza_trace::view::{ShardedTrace, TraceView};
 use kooza_trace::TraceSet;
 
 use crate::config::ClusterConfig;
@@ -169,24 +168,6 @@ pub struct FaultStats {
     pub degraded_requests: u64,
 }
 
-impl FaultStats {
-    /// Accumulates another run fragment's counters into `self`. Every
-    /// field is a sum, so merging is commutative and associative: any
-    /// order of combining per-shard fragments yields the same totals.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.crashes += other.crashes;
-        self.recoveries += other.recoveries;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.failovers += other.failovers;
-        self.link_drops += other.link_drops;
-        self.rereplications += other.rereplications;
-        self.requests_failed += other.requests_failed;
-        self.jobs_lost += other.jobs_lost;
-        self.degraded_requests += other.degraded_requests;
-    }
-}
-
 /// Aggregate simulation statistics.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
@@ -243,68 +224,6 @@ impl ClusterStats {
             0.0
         }
     }
-
-    /// Combines a *disjoint* run fragment into `self` — the per-shard
-    /// stats of a sharded run, where each fragment covers its own server
-    /// range (the per-server vectors are full-length with zeros outside
-    /// that range) and at most one fragment carries the master path.
-    ///
-    /// Order-independent by construction: counters and busy times sum,
-    /// latency tallies Welford-combine, watermarks and the makespan take
-    /// the max, per-server vectors combine element-wise (sum for loads
-    /// and utilizations, max for queue watermarks), `master_utilization`
-    /// sums and `metadata_hit_ratio` multiplies — fragments without the
-    /// master path contribute the identity (0 and 1 respectively).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-server vectors have different lengths (fragments
-    /// of different clusters).
-    pub fn merge(&mut self, other: &ClusterStats) {
-        let n = self.cpu_utilization.len();
-        assert_eq!(
-            n,
-            other.cpu_utilization.len(),
-            "fragments of different clusters"
-        );
-        self.completed += other.completed;
-        self.latency_secs.merge(&other.latency_secs);
-        self.makespan_secs = self.makespan_secs.max(other.makespan_secs);
-        for (a, b) in self.cpu_utilization.iter_mut().zip(&other.cpu_utilization) {
-            *a += b;
-        }
-        for (a, b) in self
-            .disk_utilization
-            .iter_mut()
-            .zip(&other.disk_utilization)
-        {
-            *a += b;
-        }
-        for (a, b) in self.cache_hit_ratio.iter_mut().zip(&other.cache_hit_ratio) {
-            *a += b;
-        }
-        self.total_cpu_busy_secs += other.total_cpu_busy_secs;
-        self.tracing_busy_secs += other.tracing_busy_secs;
-        self.master_utilization += other.master_utilization;
-        self.metadata_hit_ratio *= other.metadata_hit_ratio;
-        self.events_processed += other.events_processed;
-        self.pending_high_water = self.pending_high_water.max(other.pending_high_water);
-        for (a, b) in self
-            .requests_per_server
-            .iter_mut()
-            .zip(&other.requests_per_server)
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .queue_high_water_per_server
-            .iter_mut()
-            .zip(&other.queue_high_water_per_server)
-        {
-            *a = (*a).max(*b);
-        }
-        self.faults.merge(&other.faults);
-    }
 }
 
 /// Everything a run produces.
@@ -312,23 +231,45 @@ impl ClusterStats {
 pub struct ClusterOutcome {
     /// The collected multi-subsystem trace (whole cluster).
     pub trace: TraceSet,
-    /// The same records grouped by the chunkserver that served each
-    /// request — §4: "Scaling to multiple servers in order to simulate
-    /// real-application scenarios requires multiple instances of the
-    /// model", and each instance trains on its own server's trace.
-    /// Stored once; [`ClusterOutcome::server_views`] borrows per-server
-    /// slices without copying.
-    pub per_server: ShardedTrace,
     /// Aggregate statistics.
     pub stats: ClusterStats,
     /// Per-request outcomes, completion order.
     pub requests: Vec<RequestOutcome>,
+    /// The chunkserver each request was last dispatched to, by request
+    /// id; `None` for a request that never reached a server.
+    server_of: Vec<Option<usize>>,
 }
 
 impl ClusterOutcome {
-    /// Zero-copy per-server trace views, indexed by chunkserver.
-    pub fn server_views(&self) -> Vec<TraceView<'_>> {
-        self.per_server.views()
+    /// The trace split by the chunkserver that served each request, one
+    /// set per chunkserver — §4: "Scaling to multiple servers in order to
+    /// simulate real-application scenarios requires multiple instances of
+    /// the model", and each instance trains on its own server's trace.
+    ///
+    /// Built on demand in one pass over each stream, so every set keeps
+    /// the trace's time order. A server that served nothing gets an empty
+    /// set.
+    pub fn server_traces(&self) -> Vec<TraceSet> {
+        let server = |rid: u64| {
+            self.server_of[rid as usize].expect("records exist only for dispatched requests")
+        };
+        let mut sets = vec![TraceSet::new(); self.stats.requests_per_server.len()];
+        for r in &self.trace.storage {
+            sets[server(r.request_id)].storage.push(*r);
+        }
+        for r in &self.trace.cpu {
+            sets[server(r.request_id)].cpu.push(*r);
+        }
+        for r in &self.trace.memory {
+            sets[server(r.request_id)].memory.push(*r);
+        }
+        for r in &self.trace.network {
+            sets[server(r.request_id)].network.push(*r);
+        }
+        for s in &self.trace.spans {
+            sets[server(s.trace_id.0)].spans.push(s.clone());
+        }
+        sets
     }
 }
 
@@ -564,16 +505,11 @@ impl Cluster {
         }
         trace.spans = ctl.collector.spans().to_vec();
         trace.sort_by_time();
-        // Partitioning the time-sorted trace keeps each server's records
-        // time-sorted, without a second copy of every record in the run.
-        let per_server = ShardedTrace::partition(&trace, n, |rid| {
-            ctl.server_of[rid as usize].expect("records exist only for dispatched requests")
-        });
         ClusterOutcome {
             trace,
-            per_server,
             stats,
             requests: outcomes,
+            server_of: ctl.server_of,
         }
     }
 
@@ -965,20 +901,41 @@ mod tests {
 
     #[test]
     fn per_server_views_partition_the_trace() {
-        let mut config = ClusterConfig::cluster(3);
-        config.workload = WorkloadMix::mixed();
-        let out = Cluster::new(&config).unwrap().run(400, 11);
-        let views = out.server_views();
-        assert_eq!(views.len(), 3);
-        let total: usize = views.iter().map(|v| v.len()).sum();
-        assert_eq!(total, out.trace.len());
-        // Each view is time-sorted, like the whole-cluster trace.
-        for view in &views {
-            for w in view.network.windows(2) {
-                assert!(w[0].ts_nanos <= w[1].ts_nanos);
+        let mut mixed = ClusterConfig::cluster(3);
+        mixed.workload = WorkloadMix::mixed();
+        // Nearly-permanent outages: most requests never dispatch, so they
+        // leave no records and belong to no server.
+        let faulty = faulty_config("mttf=0.5,mttr=60,timeout=0.2,retries=2,backoff=1");
+        let runs = [
+            Cluster::new(&mixed).unwrap().run(400, 11),
+            Cluster::new(&faulty).unwrap().run(300, 17),
+        ];
+        for out in runs {
+            let traces = out.server_traces();
+            assert_eq!(traces.len(), out.stats.requests_per_server.len());
+            let total: usize = traces.iter().map(TraceSet::len).sum();
+            assert_eq!(total, out.trace.len());
+            // Each set is the whole trace filtered to the requests its
+            // server served: every record and span lands in the set of its
+            // request's server, and in trace order. With the sizes summing
+            // to the whole, no record is dropped or duplicated.
+            fn keep<T: Clone>(
+                items: &[T],
+                id: impl Fn(&T) -> u64,
+                mine: impl Fn(u64) -> bool,
+            ) -> Vec<T> {
+                items.iter().filter(|x| mine(id(x))).cloned().collect()
             }
-            for w in view.storage.windows(2) {
-                assert!(w[0].ts_nanos <= w[1].ts_nanos);
+            for (server, trace) in traces.iter().enumerate() {
+                let mine = |id: u64| out.server_of[id as usize] == Some(server);
+                let filtered = TraceSet {
+                    storage: keep(&out.trace.storage, |r| r.request_id, mine),
+                    cpu: keep(&out.trace.cpu, |r| r.request_id, mine),
+                    memory: keep(&out.trace.memory, |r| r.request_id, mine),
+                    network: keep(&out.trace.network, |r| r.request_id, mine),
+                    spans: keep(&out.trace.spans, |s| s.trace_id.0, mine),
+                };
+                assert_eq!(*trace, filtered, "server {server}");
             }
         }
     }
@@ -1336,100 +1293,6 @@ mod tests {
             let busy = range.clone().any(|s| out.stats.disk_utilization[s] > 0.0);
             assert!(busy, "group {range:?} saw no disk traffic");
         }
-    }
-
-    #[test]
-    fn stats_merge_is_order_independent_and_recovers_totals() {
-        let mut config = sharded_config();
-        config.faults = Some(FaultSpec::parse("mttf=2,mttr=0.5,timeout=0.4").unwrap());
-        let whole = Cluster::new(&config).unwrap().run_sharded(300, 2, 4).stats;
-        // Split into two fragments along the server axis (the per-shard
-        // shape): scalars go to `a`, servers 6..12 to `b`.
-        let mut a = whole.clone();
-        let mut b = whole.clone();
-        for s in 6..12 {
-            a.cpu_utilization[s] = 0.0;
-            a.disk_utilization[s] = 0.0;
-            a.cache_hit_ratio[s] = 0.0;
-            a.requests_per_server[s] = 0;
-            a.queue_high_water_per_server[s] = 0;
-        }
-        for s in 0..6 {
-            b.cpu_utilization[s] = 0.0;
-            b.disk_utilization[s] = 0.0;
-            b.cache_hit_ratio[s] = 0.0;
-            b.requests_per_server[s] = 0;
-            b.queue_high_water_per_server[s] = 0;
-        }
-        b.completed = 0;
-        b.latency_secs = Tally::new();
-        b.total_cpu_busy_secs = 0.0;
-        b.tracing_busy_secs = 0.0;
-        b.master_utilization = 0.0;
-        b.metadata_hit_ratio = 1.0;
-        b.events_processed = 0;
-        b.faults = FaultStats::default();
-        let merge = |x: &ClusterStats, y: &ClusterStats| {
-            let mut m = x.clone();
-            m.merge(y);
-            m
-        };
-        let ab = merge(&a, &b);
-        let ba = merge(&b, &a);
-        // Order independence, field by observable field.
-        assert_eq!(ab.completed, ba.completed);
-        assert_eq!(ab.latency_secs.count(), ba.latency_secs.count());
-        assert_eq!(ab.cpu_utilization, ba.cpu_utilization);
-        assert_eq!(ab.requests_per_server, ba.requests_per_server);
-        assert_eq!(
-            ab.queue_high_water_per_server,
-            ba.queue_high_water_per_server
-        );
-        assert_eq!(ab.faults, ba.faults);
-        // And the merge recovers the whole run's totals exactly.
-        assert_eq!(ab.completed, whole.completed);
-        assert_eq!(ab.latency_secs.count(), whole.latency_secs.count());
-        assert_eq!(ab.latency_secs.mean(), whole.latency_secs.mean());
-        assert_eq!(ab.cpu_utilization, whole.cpu_utilization);
-        assert_eq!(ab.disk_utilization, whole.disk_utilization);
-        assert_eq!(ab.requests_per_server, whole.requests_per_server);
-        assert_eq!(ab.events_processed, whole.events_processed);
-        assert_eq!(ab.faults, whole.faults);
-    }
-
-    #[test]
-    fn fault_stats_merge_sums_every_field() {
-        let a = FaultStats {
-            crashes: 1,
-            recoveries: 2,
-            retries: 3,
-            timeouts: 4,
-            failovers: 5,
-            link_drops: 6,
-            rereplications: 7,
-            requests_failed: 8,
-            jobs_lost: 9,
-            degraded_requests: 10,
-        };
-        let b = FaultStats {
-            crashes: 10,
-            recoveries: 20,
-            retries: 30,
-            timeouts: 40,
-            failovers: 50,
-            link_drops: 60,
-            rereplications: 70,
-            requests_failed: 80,
-            jobs_lost: 90,
-            degraded_requests: 100,
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.crashes, 11);
-        assert_eq!(ab.degraded_requests, 110);
     }
 
     #[test]

@@ -86,26 +86,6 @@ impl Tally {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another tally into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Time-weighted average of a piecewise-constant signal.
@@ -239,33 +219,6 @@ mod tests {
         assert_eq!(t.variance(), 0.0);
         assert_eq!(t.min(), None);
         assert_eq!(t.max(), None);
-    }
-
-    #[test]
-    fn tally_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Tally::new();
-        data.iter().for_each(|&x| whole.record(x));
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        data[..37].iter().for_each(|&x| a.record(x));
-        data[37..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tally_merge_with_empty() {
-        let mut a = Tally::new();
-        a.record(1.0);
-        let before = a.clone();
-        a.merge(&Tally::new());
-        assert_eq!(a, before);
-        let mut empty = Tally::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
     }
 
     #[test]

@@ -7,17 +7,13 @@
 //! * [`span`] — Dapper-style span trees: nested timed sections with
 //!   annotations, reconstructed into per-request trees.
 //! * [`sampler`] — 1-in-N deterministic trace sampling.
-//! * [`store`] — the [`TraceSet`](store::TraceSet) container with JSONL
-//!   persistence.
+//! * [`store`] — the [`TraceSet`] container with JSONL persistence.
 //! * [`characterize`] — per-subsystem workload characterization (read/write
 //!   mix, seek distances, inter-arrivals, burstiness, CPU pattern
 //!   classification per Abrahao et al.).
-//! * [`view`] — zero-copy borrowed views ([`TraceView`](view::TraceView))
-//!   and per-shard grouping ([`ShardedTrace`](view::ShardedTrace)) so
-//!   parallel consumers share one owned trace instead of cloning it.
-//! * [`ktc`] — the KTC binary columnar format ([`KtcReader`](ktc::KtcReader),
-//!   [`KtcWriter`](ktc::KtcWriter)) for traces too large for JSONL text,
-//!   with JSONL kept as the golden round-trip oracle.
+//! * [`ktc`] — the KTC binary columnar format ([`KtcReader`],
+//!   [`KtcWriter`]) for traces too large for JSONL text, with JSONL kept
+//!   as the golden round-trip oracle.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,13 +24,11 @@ pub mod record;
 pub mod sampler;
 pub mod span;
 pub mod store;
-pub mod view;
 
 pub use ktc::{KtcBlock, KtcReader, KtcWriter, TraceFormat};
 pub use record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
 pub use span::{Span, SpanCollector, SpanId, SpanName, TraceId, TraceTree};
 pub use store::TraceSet;
-pub use view::{ShardedTrace, TraceView};
 
 /// Errors from trace manipulation and persistence.
 #[derive(Debug)]

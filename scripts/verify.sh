@@ -43,6 +43,10 @@ cargo test -q --offline --workspace
 echo "== lint gate: clippy clean at -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc gate: no broken intra-doc links =="
+# Deleting or renaming an item must not leave a doc link dangling.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --workspace --no-deps
+
 echo "== benchmarks compile and smoke-run =="
 cargo bench --offline -p kooza-bench --bench micro -- --mode smoke >/dev/null
 cargo bench --offline -p kooza-bench --bench shard -- --mode smoke >/dev/null
