@@ -270,8 +270,8 @@ fn parse_topology(opts: &Options) -> Result<Topology, CliError> {
 
 /// `--shards N|auto`, resolved against the cluster: `auto` (and the
 /// option's absence) picks [`kooza_gfs::default_shards`], and any request
-/// is clamped so every shard group holds a full replica set — mirroring
-/// what `run_sharded` enforces, so the report shows the real shard count.
+/// goes through [`kooza_gfs::effective_shards`], the clamp `run_sharded`
+/// applies, so the report shows the real shard count.
 fn parse_shards(opts: &Options, config: &ClusterConfig) -> Result<usize, CliError> {
     let requested = match opts.get("shards") {
         None | Some("auto") => kooza_gfs::default_shards(config),
@@ -285,9 +285,7 @@ fn parse_shards(opts: &Options, config: &ClusterConfig) -> Result<usize, CliErro
             n
         }
     };
-    Ok(requested
-        .min(config.n_chunkservers / config.replication.max(1))
-        .max(1))
+    Ok(kooza_gfs::effective_shards(config, requested))
 }
 
 /// Parses a `--format`-style option into a trace format; `None` when the

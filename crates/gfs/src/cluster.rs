@@ -56,7 +56,7 @@
 //!   in the window its timeout fires arrives stale and the request
 //!   retries. Nothing implements this: it is the delivery delay.
 
-use kooza_sim::{shard_ranges, ShardedEngine, SimDuration, Tally};
+use kooza_sim::{shard_ranges, Fabric, ShardedEngine, SimDuration, SimTime, Tally};
 use kooza_trace::TraceSet;
 
 use crate::config::ClusterConfig;
@@ -70,14 +70,14 @@ mod shard;
 /// capped at 8 — small clusters (including [`ClusterConfig::small`]) stay
 /// on one shard. Derived from the configuration only, never from the
 /// host, so "auto" is the same simulation on every machine.
-/// [`Cluster::run_sharded`] further clamps to what replication allows.
+/// [`Cluster::run_sharded`] further clamps with [`effective_shards`].
 pub fn default_shards(config: &ClusterConfig) -> usize {
     (config.n_chunkservers / 8).clamp(1, 8)
 }
 
 /// The shard count a request actually runs with: every group must hold a
 /// full replica set, so at most `n_chunkservers / replication` groups.
-fn effective_shards(config: &ClusterConfig, requested: usize) -> usize {
+pub fn effective_shards(config: &ClusterConfig, requested: usize) -> usize {
     requested
         .min(config.n_chunkservers / config.replication.max(1))
         .max(1)
@@ -420,9 +420,11 @@ impl Cluster {
         self.assemble(shards, Some(&barrier))
     }
 
-    /// Assembles the outcome of finished shards: traces merge in shard
-    /// order (then time-sort), per-server stats come from each shard's
-    /// disjoint range, and the request ledger from the control plane.
+    /// Assembles the outcome of finished shards: the control shard's trace
+    /// (its records and every span) is moved out and the other shards'
+    /// traces merge onto it in shard order (then time-sort), per-server
+    /// stats come from each shard's disjoint range, and the request ledger
+    /// from the control plane.
     fn assemble(
         &self,
         mut shards: Vec<Shard>,
@@ -451,7 +453,7 @@ impl Cluster {
         let mut events_processed = 0u64;
         let mut pending_high_water = 0u64;
         let mut fstats = ctl.fstats;
-        let mut trace = TraceSet::new();
+        let mut trace = std::mem::take(&mut shards[0].trace);
         for shard in &mut shards {
             for (s, server) in shard.range.clone().zip(&shard.servers) {
                 cpu_utilization[s] = server.cpu_pool.utilization(end);
@@ -487,15 +489,11 @@ impl Cluster {
             faults: fstats,
         };
         self.publish_metrics(&stats, &outcomes);
-        for fab in shards.iter().filter_map(|s| s.fabric.as_ref()) {
-            let f = &fab.fabric;
-            Self::publish_fabric_metrics(
-                f.flows_started(),
-                f.rerates(),
-                f.bottleneck_busy(),
-                &f.link_utilization(end),
-            );
-        }
+        let fabrics: Vec<&Fabric> = shards
+            .iter()
+            .filter_map(|s| s.fabric.as_ref().map(|f| &f.fabric))
+            .collect();
+        Self::publish_fabric_metrics(&fabrics, end);
         if let Some(barrier) = barrier.filter(|_| kooza_obs::global::is_enabled()) {
             kooza_obs::global::with_registry(|reg| {
                 reg.counter_add("sim.shard.shards", shards.len() as u64);
@@ -503,7 +501,6 @@ impl Cluster {
                 reg.counter_add("sim.shard.messages", barrier.messages());
             });
         }
-        trace.spans = ctl.collector.spans().to_vec();
         trace.sort_by_time();
         ClusterOutcome {
             trace,
@@ -579,29 +576,40 @@ impl Cluster {
         });
     }
 
-    /// Publishes one fabric's counters and per-link utilization to the
-    /// observability registry. Separate from [`Cluster::publish_metrics`]
-    /// so `--topology none` reports stay byte-identical to the
-    /// pre-fabric format. Commutative operations only (counter adds,
-    /// histogram records): sharded runs call this once per shard fabric
-    /// and totals are order-independent.
-    pub(crate) fn publish_fabric_metrics(
-        flows: u64,
-        rerates: u64,
-        bottleneck_busy: SimDuration,
-        utilization: &[f64],
-    ) {
+    /// Publishes the run's fabric counters and per-link utilization to
+    /// the observability registry (nothing under `--topology none`, so
+    /// those reports keep the pre-fabric format). Each shard of a sharded
+    /// run holds its own fabric over the global host space, so the
+    /// counters and each link's utilization are summed across shard
+    /// fabrics in shard order, and every link is recorded once whatever
+    /// the shard count. Shard fabrics do not see each other's flows, so a
+    /// summed link can exceed 100% (the histogram's overflow bucket).
+    /// Commutative operations only (counter adds, histogram records),
+    /// since `run_trials` runs publish from parallel workers.
+    fn publish_fabric_metrics(fabrics: &[&Fabric], end: SimTime) {
+        let Some((first, rest)) = fabrics.split_first() else {
+            return;
+        };
         if !kooza_obs::global::is_enabled() {
             return;
         }
         /// Per-link utilization buckets, percent of capacity.
         const UTIL_BOUNDS: &[u64] = &[1, 5, 10, 25, 50, 75, 90, 99, 100];
+        let mut utilization = first.link_utilization(end);
+        for f in rest {
+            for (u, v) in utilization.iter_mut().zip(f.link_utilization(end)) {
+                *u += v;
+            }
+        }
+        let flows = fabrics.iter().map(|f| f.flows_started()).sum();
+        let rerates = fabrics.iter().map(|f| f.rerates()).sum();
+        let busy = fabrics.iter().map(|f| f.bottleneck_busy().as_nanos()).sum();
         kooza_obs::global::with_registry(|reg| {
             reg.counter_add("net.fabric.flows", flows);
             reg.counter_add("net.fabric.rerates", rerates);
-            reg.counter_add("net.fabric.bottleneck_busy", bottleneck_busy.as_nanos());
+            reg.counter_add("net.fabric.bottleneck_busy", busy);
             let links = reg.histogram_mut("net.fabric.link_utilization", UTIL_BOUNDS);
-            for &u in utilization {
+            for &u in &utilization {
                 links.record((u * 100.0).round() as u64);
             }
         });
@@ -757,6 +765,16 @@ mod tests {
         assert!(
             out.stats.tracing_overhead_fraction() < full.stats.tracing_overhead_fraction() / 4.0
         );
+        // Sharded: the control shard's spans survive the Barrier merge.
+        let mut sharded_config = ClusterConfig::cluster(12);
+        sharded_config.trace_sampling = 10;
+        assert_eq!(effective_shards(&sharded_config, 4), 4);
+        let sharded = Cluster::new(&sharded_config)
+            .unwrap()
+            .run_sharded(1000, 6, 4);
+        let sampled = sharded.requests.iter().filter(|r| r.sampled).count();
+        assert!((50..200).contains(&sampled), "sampled {sampled}");
+        assert_eq!(sharded.trace.span_trees().len(), sampled);
     }
 
     #[test]

@@ -15,7 +15,8 @@ use kooza_sim::{
 };
 use kooza_stats::dist::{DiscreteDistribution, Distribution, Exponential, Zipf};
 use kooza_trace::record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-use kooza_trace::span::{Span, SpanCollector, SpanId, SpanName, TraceId};
+use kooza_trace::sampler::Sampler;
+use kooza_trace::span::{Span, SpanId, SpanName, TraceId};
 use kooza_trace::TraceSet;
 
 use super::{FaultStats, RequestOutcome};
@@ -511,7 +512,8 @@ pub(super) struct Control {
     metadata_lookups: u64,
     metadata_hits: u64,
     master_service: SimDuration,
-    pub(super) collector: SpanCollector,
+    /// Dapper 1-in-N trace sampling, decided once per request id.
+    sampler: Sampler,
     names: NameCache,
     /// The server each request was last dispatched to (`None` if it
     /// never left the client).
@@ -560,7 +562,7 @@ impl Control {
             master_service: SimDuration::from_secs_f64(
                 2.0 * cfg.link.latency_secs + cfg.master_lookup_secs,
             ),
-            collector: SpanCollector::with_sampling(cfg.trace_sampling),
+            sampler: Sampler::one_in(cfg.trace_sampling),
             names: NameCache::default(),
             server_of: vec![None; n_requests as usize],
             outcomes: Vec::with_capacity(n_requests as usize),
@@ -628,6 +630,8 @@ pub(super) struct Shard {
     /// Liveness and crash epochs of owned servers.
     alive: Vec<bool>,
     epochs: Vec<u32>,
+    /// Records of owned servers; on shard 0 also every sampled request's
+    /// spans, written once as the request completes.
     pub(super) trace: TraceSet,
     /// Serving state of the attempts on owned servers, by request id.
     attempts: IdMap<Attempt>,
@@ -821,7 +825,7 @@ impl Shard {
             .saturating_sub(size.div_ceil(512).max(1))
             .max(1);
         let lbn = ctl.master.chunk_base_lbn(chunk) + ctl.rng.next_bounded(span_lbns);
-        let sampled = ctl.collector.should_record(TraceId(id));
+        let sampled = ctl.sampler.keep(TraceId(id));
         let spec = Spec {
             kind,
             size,
@@ -1023,7 +1027,7 @@ impl Shard {
         if st.spec.sampled {
             let tid = TraceId(a.id);
             let root = ctl.names.get("request");
-            ctl.collector.record(Span::new(
+            self.trace.spans.push(Span::new(
                 tid,
                 SpanId(0),
                 None,
@@ -1033,7 +1037,7 @@ impl Shard {
             ));
             for (span_idx, (name, s, e)) in (1u64..).zip(st.progress.phases.iter()) {
                 let name = ctl.names.get(name);
-                ctl.collector.record(Span::new(
+                self.trace.spans.push(Span::new(
                     tid,
                     SpanId(span_idx),
                     Some(SpanId(0)),

@@ -43,8 +43,8 @@ mod server;
 pub mod shard;
 mod time;
 
-pub use collect::{Counter, Tally, TimeWeighted};
-pub use engine::{run, Engine, TimerHandle};
+pub use collect::{Tally, TimeWeighted};
+pub use engine::{Engine, TimerHandle};
 pub use fabric::{Endpoint, Fabric};
 pub use server::ServerPool;
 pub use shard::{shard_ranges, Envelope, Outbox, ShardedEngine};

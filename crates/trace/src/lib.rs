@@ -27,7 +27,7 @@ pub mod store;
 
 pub use ktc::{KtcBlock, KtcReader, KtcWriter, TraceFormat};
 pub use record::{CpuRecord, Direction, IoOp, MemoryRecord, NetworkRecord, StorageRecord};
-pub use span::{Span, SpanCollector, SpanId, SpanName, TraceId, TraceTree};
+pub use span::{Span, SpanId, SpanName, TraceId, TraceTree};
 pub use store::TraceSet;
 
 /// Errors from trace manipulation and persistence.

@@ -6,12 +6,13 @@
 //! stream through ordinary readers/writers and survive partial writes
 //! (parse errors carry line numbers).
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 
 use kooza_json::{FromJson, Json, JsonError, ToJson};
 
 use crate::record::{CpuRecord, MemoryRecord, NetworkRecord, StorageRecord};
-use crate::span::{Span, TraceTree};
+use crate::span::{Span, TraceId, TraceTree};
 use crate::{Result, TraceError};
 
 /// One line of a serialized trace, internally tagged by a `kind` field —
@@ -102,39 +103,8 @@ impl TraceSet {
         self.spans.extend(other.spans);
     }
 
-    /// A new trace set containing only records of one request.
-    pub fn filter_request(&self, request_id: u64) -> TraceSet {
-        TraceSet {
-            storage: self
-                .storage
-                .iter()
-                .filter(|r| r.request_id == request_id)
-                .copied()
-                .collect(),
-            cpu: self.cpu.iter().filter(|r| r.request_id == request_id).copied().collect(),
-            memory: self
-                .memory
-                .iter()
-                .filter(|r| r.request_id == request_id)
-                .copied()
-                .collect(),
-            network: self
-                .network
-                .iter()
-                .filter(|r| r.request_id == request_id)
-                .copied()
-                .collect(),
-            spans: self
-                .spans
-                .iter()
-                .filter(|s| s.trace_id.0 == request_id)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Sorts every stream by timestamp (stable), normalizing traces merged
-    /// from multiple collectors.
+    /// from several sources (the shards of a sharded run).
     pub fn sort_by_time(&mut self) {
         self.storage.sort_by_key(|r| r.ts_nanos);
         self.cpu.sort_by_key(|r| r.ts_nanos);
@@ -146,24 +116,14 @@ impl TraceSet {
     /// Groups the stored spans into per-request trees, skipping malformed
     /// groups.
     pub fn span_trees(&self) -> Vec<TraceTree> {
-        let mut collector = crate::span::SpanCollector::new();
+        let mut by_trace: BTreeMap<TraceId, Vec<Span>> = BTreeMap::new();
         for span in &self.spans {
-            collector.record(span.clone());
+            by_trace.entry(span.trace_id).or_default().push(span.clone());
         }
-        collector.into_trees()
-    }
-
-    /// Distinct request ids seen in the network stream (the canonical
-    /// "requests in this trace" list), in first-seen order.
-    pub fn request_ids(&self) -> Vec<u64> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.network {
-            if seen.insert(r.request_id) {
-                out.push(r.request_id);
-            }
-        }
-        out
+        by_trace
+            .into_values()
+            .filter_map(|spans| TraceTree::build(spans).ok())
+            .collect()
     }
 
     /// Serializes as JSONL to any writer.
@@ -323,32 +283,12 @@ mod tests {
     }
 
     #[test]
-    fn filter_request_partitions() {
-        let ts = sample_set();
-        let r1 = ts.filter_request(1);
-        assert_eq!(r1.storage.len(), 1);
-        assert_eq!(r1.cpu.len(), 1);
-        assert_eq!(r1.memory.len(), 0);
-        assert_eq!(r1.network.len(), 1);
-        assert_eq!(r1.spans.len(), 2);
-        let r2 = ts.filter_request(2);
-        assert_eq!(r2.memory.len(), 1);
-        assert_eq!(r2.spans.len(), 0);
-    }
-
-    #[test]
     fn merge_concatenates() {
         let mut a = sample_set();
         let b = sample_set();
         let before = a.len();
         a.merge(b);
         assert_eq!(a.len(), before * 2);
-    }
-
-    #[test]
-    fn request_ids_first_seen_order() {
-        let ts = sample_set();
-        assert_eq!(ts.request_ids(), vec![1, 2]);
     }
 
     #[test]
@@ -378,7 +318,6 @@ mod tests {
     fn empty_set_properties() {
         let ts = TraceSet::new();
         assert!(ts.is_empty());
-        assert!(ts.request_ids().is_empty());
         assert!(ts.span_trees().is_empty());
         let mut buf = Vec::new();
         ts.write_jsonl(&mut buf).unwrap();

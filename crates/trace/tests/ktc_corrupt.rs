@@ -6,11 +6,18 @@
 //! Targeted tests hit each named failure mode (truncation, bad magic,
 //! wrong version, over-long varints, out-of-range intern indices); a
 //! deterministic byte-mutation sweep over the committed golden fixture
-//! then brute-forces the long tail.
+//! then brute-forces the long tail, and a kooza-check property stacks
+//! multi-byte overwrites with a range deletion, duplication or splice.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
+use kooza_check::gen::{u64_range, vec_of, zip2, zip3, zip5};
+use kooza_check::{checker, CaseResult};
 use kooza_trace::{TraceError, TraceSet};
+
+mod common;
+use common::arbitrary_set;
 
 fn golden_ktc() -> Vec<u8> {
     let path =
@@ -237,4 +244,83 @@ fn empty_and_tiny_streams_error_typed() {
             other => panic!("expected Truncated for {} bytes, got {other:?}", bytes.len()),
         }
     }
+}
+
+/// Stream `source`: 0 is the golden fixture, any other value the KTC
+/// encoding of `arbitrary_set(source, 8)`.
+fn stream(source: u64) -> Vec<u8> {
+    if source == 0 {
+        return golden_ktc();
+    }
+    let mut buf = Vec::new();
+    arbitrary_set(source, 8)
+        .write_ktc(&mut buf)
+        .expect("encoding to memory succeeds");
+    buf
+}
+
+/// One multi-byte corruption: overwrites `(position, byte)`, then one
+/// range edit `(kind, at, len, other source, other at)` — kind 0 deletes
+/// `len` bytes at `at`, 1 duplicates them in place, 2 replaces them with
+/// `len` bytes of another stream. Positions wrap modulo the length.
+type Corruption = (u64, Vec<(u64, u64)>, (u64, u64, u64, u64, u64));
+
+fn corrupt(&(source, ref overwrites, (kind, at, len, other, other_at)): &Corruption) -> Vec<u8> {
+    let mut bytes = stream(source);
+    for &(pos, byte) in overwrites {
+        let i = (pos % bytes.len() as u64) as usize;
+        bytes[i] = byte as u8;
+    }
+    let at = (at % (bytes.len() as u64 + 1)) as usize;
+    let end = (at + len as usize).min(bytes.len());
+    match kind {
+        0 => {
+            bytes.drain(at..end);
+        }
+        1 => {
+            let copy = bytes[at..end].to_vec();
+            bytes.splice(end..end, copy);
+        }
+        _ => {
+            let donor = stream(other);
+            let from = (other_at % (donor.len() as u64 + 1)) as usize;
+            let to = (from + len as usize).min(donor.len());
+            bytes.splice(at..end, donor[from..to].iter().copied());
+        }
+    }
+    bytes
+}
+
+/// Multi-byte corruption of the golden fixture and of random encodings
+/// decodes or fails typed — never a panic.
+#[test]
+fn multi_byte_corruption_is_handled() {
+    let overwrite = zip2(u64_range(0, 1 << 32), u64_range(0, 256));
+    let edit = zip5(
+        u64_range(0, 3),
+        u64_range(0, 1 << 32),
+        u64_range(0, 64),
+        u64_range(0, 1000),
+        u64_range(0, 1 << 32),
+    );
+    checker("multi_byte_corruption_is_handled").run(
+        zip3(u64_range(0, 1000), vec_of(overwrite, 2, 16), edit),
+        |case: &Corruption| {
+            let bytes = corrupt(case);
+            match catch_unwind(AssertUnwindSafe(|| TraceSet::read_ktc(bytes.as_slice()))) {
+                Ok(
+                    Ok(_)
+                    | Err(
+                        TraceError::Truncated { .. }
+                        | TraceError::Corrupt { .. }
+                        | TraceError::BadMagic { .. }
+                        | TraceError::UnsupportedVersion(_)
+                        | TraceError::Io(_),
+                    ),
+                ) => Ok(()),
+                Ok(Err(other)) => Err(CaseResult::Fail(format!("untyped error {other:?}"))),
+                Err(_) => Err(CaseResult::Fail("decoder panicked".into())),
+            }
+        },
+    );
 }

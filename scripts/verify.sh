@@ -133,4 +133,10 @@ for workload in sim_traced sim_sharded sim_rack_faults model_pipeline; do
     echo "ok: $workload seeds 0-2 match"
 done
 
+echo "== benchmark self-tests: perfbench's own suite =="
+# Pins what the digests cannot: traced layer spans nest and cover the
+# iteration, sharded digests match at 1 and 2 threads, and the printed
+# metric names match BENCHMARK.json. Reads perfbench/ only.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "verify: OK"

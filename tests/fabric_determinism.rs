@@ -157,6 +157,15 @@ fn faulty_log(topology: Topology, shards: usize) -> String {
     log
 }
 
+/// Samples in a stripped report's `net.fabric.link_utilization` histogram.
+fn link_utilization_count(obs: &str) -> u64 {
+    obs.lines()
+        .map(|line| kooza_json::parse(line).expect("stripped report is JSONL"))
+        .find(|j| j.get("name").and_then(Json::as_str) == Some("net.fabric.link_utilization"))
+        .and_then(|j| j.get("count").and_then(Json::as_u64))
+        .expect("report has the link utilization histogram")
+}
+
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
@@ -228,6 +237,24 @@ fn fabric_runs_are_deterministic_and_legacy_path_matches_golden() {
             );
         }
     }
+
+    // Every link is reported once per run at any shard count: each
+    // shard's fabric spans the whole host space, and a report per shard
+    // fabric would count every link once per shard.
+    let link_samples: Vec<u64> = SHARD_COUNTS
+        .iter()
+        .map(|&shards| {
+            let (.., obs) = outputs
+                .iter()
+                .find(|(t, s, ..)| *t == 1 && *s == shards)
+                .unwrap();
+            link_utilization_count(obs)
+        })
+        .collect();
+    assert_eq!(
+        link_samples[0], link_samples[1],
+        "net.fabric.link_utilization count differs between 1 and 4 shards"
+    );
 
     // The fabric must actually change behavior: an oversubscribed rack
     // run cannot coincide with the ideal-link golden output.
