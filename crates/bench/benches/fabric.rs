@@ -2,7 +2,10 @@
 //! ideal fixed-service links, plus the incast degradation curve.
 //!
 //! Wall-clock benches measure what the fabric costs the simulator (flow
-//! re-rating on every start/finish). The `notes.incast` table in the
+//! re-rating on every start/finish): `fabric_incast_32` the whole fabric
+//! under one saturated link, `fabric_rerate_churn` the max-min re-rate
+//! itself, and the two cluster benches a full simulation with and
+//! without the fabric. The `notes.incast` table in the
 //! JSON report (`KOOZA_BENCH_JSON`, archived as `BENCH_fabric.json`)
 //! records *simulated* completion times of an N-to-1 incast with
 //! timeout/restart recovery: past the point where the fair share per
@@ -14,9 +17,11 @@
 use std::hint::black_box;
 
 use kooza_bench::harness::Harness;
-use kooza_bench::incast::{incast, STRIPE, TIMEOUT};
+use kooza_bench::incast::{incast, BW, LAT, STRIPE, TIMEOUT};
 use kooza_gfs::{Cluster, ClusterConfig, Topology, WorkloadMix};
 use kooza_json::Json;
+use kooza_sim::rng::Rng64;
+use kooza_sim::{Endpoint, Fabric, SimDuration, SimTime};
 
 /// The cluster the wall-clock benches run: same shape as the shard
 /// bench, with the topology switched between ideal links and the fabric.
@@ -29,6 +34,34 @@ fn bench_config(topology: Topology) -> ClusterConfig {
     };
     config.topology = topology;
     config
+}
+
+/// Flow churn on a 64-host rack:4:2 fabric: 256 flows between seeded
+/// random hosts, too large to finish, then 100 steps that each cancel
+/// one flow, start a replacement and advance past its gate. Each step
+/// re-rates twice over a max-min fill with many bottleneck levels, so
+/// re-rating is most of the work; `scripts/verify.sh` gates it. Returns
+/// the re-rate count.
+fn rerate_churn() -> u64 {
+    const HOSTS: u64 = 64;
+    let mut fabric = Fabric::new(HOSTS as usize, 4, 2.0, BW, LAT);
+    let mut rng = Rng64::new(7);
+    let mut start = |fabric: &mut Fabric| {
+        let from = rng.next_bounded(HOSTS) as usize;
+        let to = (from + 1 + rng.next_bounded(HOSTS - 1) as usize) % HOSTS as usize;
+        fabric.start_flow(Endpoint::Host(from), Endpoint::Host(to), 1 << 40)
+    };
+    let mut live: Vec<u64> = (0..256).map(|_| start(&mut fabric)).collect();
+    let mut completed = Vec::new();
+    let mut now = SimTime::ZERO;
+    for step in 0..100 {
+        now = now + LAT + SimDuration::from_micros(1);
+        fabric.advance_into(now, &mut completed);
+        let victim = step * 97 % live.len();
+        fabric.cancel_flow(live[victim]);
+        live[victim] = start(&mut fabric);
+    }
+    fabric.rerates()
 }
 
 fn main() {
@@ -70,6 +103,7 @@ fn main() {
 
     // Wall-clock cost of the fabric machinery itself.
     h.bench_function("fabric_incast_32", |b| b.iter(|| black_box(incast(32))));
+    h.bench_function("fabric_rerate_churn", |b| b.iter(|| black_box(rerate_churn())));
 
     let ideal = bench_config(Topology::None);
     h.bench_function("cluster_ideal_links", |b| {

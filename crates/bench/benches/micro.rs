@@ -67,15 +67,6 @@ fn bench_ks_test(h: &mut Harness) {
     });
 }
 
-fn bench_ad_test(h: &mut Harness) {
-    let d = Exponential::new(1.0).unwrap();
-    let mut rng = Rng64::new(13);
-    let data: Vec<f64> = (0..10_000).map(|_| d.sample(&mut rng)).collect();
-    h.bench_function("anderson_darling_10k", |b| {
-        b.iter(|| black_box(kooza_stats::ad::ad_one_sample(&data, &d).unwrap().statistic))
-    });
-}
-
 fn bench_fit_pipeline(h: &mut Harness) {
     let d = LogNormal::new(0.0, 0.8).unwrap();
     let mut rng = Rng64::new(3);
@@ -260,7 +251,6 @@ fn main() {
     bench_sim_engine(&mut h);
     bench_rng(&mut h);
     bench_ks_test(&mut h);
-    bench_ad_test(&mut h);
     bench_fit_pipeline(&mut h);
     bench_markov_train_generate(&mut h);
     bench_hmm_baum_welch(&mut h);

@@ -15,13 +15,20 @@
 //!   cargo passes (`kooza_bench --mode smoke` in CI, for example).
 //! - `KOOZA_BENCH_JSON=<path>` additionally writes the results as a JSON
 //!   array to `<path>`.
+//! - Every measured sample is preceded by one timed run of a fixed
+//!   calibration loop (see [`calibration`]), so the loop sees the same
+//!   host and cache conditions as the bench. Each result reports the
+//!   median of its own calibration timings as `calibration_nanos`.
 //! - `--baseline <json>` loads a previously archived BENCH_*.json report
-//!   and, after the run, prints per-bench speedup ratios against it
-//!   (baseline median / current median) with a regression flag; the diff
-//!   is also embedded in the JSON report.
+//!   and, after the run, prints per-bench speedups against it with a
+//!   regression flag; the diff is also embedded in the JSON report. Each
+//!   side's median is first divided by that side's `calibration_nanos`,
+//!   so a host that runs everything 2x slower reads as no change, while
+//!   code that got 2x slower still does. An archive whose results lack
+//!   `calibration_nanos` is rejected.
 //! - `KOOZA_BENCH_TOLERANCE=<f64>` loosens/tightens the regression
-//!   threshold for the `--baseline` diff (default `0.95`; smoke gates
-//!   use e.g. `0.5`).
+//!   threshold for the `--baseline` diff (default `0.95`;
+//!   `scripts/verify.sh`'s hot-path gate uses `0.7`).
 //!
 //! A positional (non-flag) command-line argument acts as a substring
 //! filter on benchmark names, matching cargo's usual filtering UX.
@@ -48,6 +55,9 @@ pub struct BenchResult {
     /// Bytes processed per iteration, for throughput benches
     /// ([`Harness::bench_throughput`]); `None` for plain timing benches.
     pub bytes: Option<u64>,
+    /// Median of the [`calibration`] timings taken just before each
+    /// sample: the yardstick `--baseline` divides `median_nanos` by.
+    pub calibration_nanos: f64,
 }
 
 impl BenchResult {
@@ -72,6 +82,7 @@ impl ToJson for BenchResult {
             ("median_nanos".into(), Json::F64(self.median_nanos)),
             ("p95_nanos".into(), Json::F64(self.p95_nanos)),
             ("mean_nanos".into(), Json::F64(self.mean_nanos)),
+            ("calibration_nanos".into(), Json::F64(self.calibration_nanos)),
         ];
         if let Some(bytes) = self.bytes {
             fields.push(("bytes".into(), Json::U64(bytes)));
@@ -84,15 +95,35 @@ impl ToJson for BenchResult {
     }
 }
 
-/// A benchmark slower than `baseline / REGRESSION_TOLERANCE` counts as a
-/// regression: 5% slack absorbs ordinary same-host timer noise.
+/// A benchmark whose calibrated speedup against the baseline falls below
+/// `REGRESSION_TOLERANCE` counts as a regression: 5% slack absorbs
+/// ordinary same-host timer noise.
 ///
-/// `KOOZA_BENCH_TOLERANCE=<f64>` overrides it per run. Smoke-mode gates
-/// (few samples diffed against an archived full-mode median, e.g. the
-/// `scripts/verify.sh` simcore gate) set a loose value like `0.5`: a
-/// coarse tripwire that still catches a hot path going 2x slower
-/// without flaking on 3-sample medians.
+/// `KOOZA_BENCH_TOLERANCE=<f64>` overrides it per run.
+/// `scripts/verify.sh`'s hot-path gate diffs a fresh run against an
+/// archive measured on another day, maybe on another host, and sets
+/// `0.7`: the calibration ratio cancels the host's speed, and the
+/// tolerance absorbs the run-to-run noise that is left.
 const REGRESSION_TOLERANCE: f64 = 0.95;
+
+/// The fixed workload timed before every sample: sorts 16k pseudo-random
+/// words. Branchy comparisons over a cache-resident array are what the
+/// event queue and the fabric's flow table spend their time on, so a
+/// host that slows those down slows this down too, but the loop shares
+/// no code with either and never changes with them.
+pub fn calibration() -> u64 {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut words: Vec<u64> = (0..16_384)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+        .collect();
+    words.sort_unstable();
+    words[words.len() / 2]
+}
 
 /// The effective regression tolerance for this run (see
 /// [`REGRESSION_TOLERANCE`]).
@@ -113,7 +144,8 @@ pub struct BaselineDiff {
     pub baseline_median_nanos: f64,
     /// Median from this run, nanoseconds.
     pub median_nanos: f64,
-    /// `baseline / current`: above 1.0 means this run is faster.
+    /// `(baseline / its calibration) / (current / its calibration)`:
+    /// above 1.0 means the code under test got faster.
     pub speedup: f64,
     /// Whether this run is slower than the baseline beyond the tolerance.
     pub regression: bool,
@@ -131,12 +163,16 @@ impl ToJson for BaselineDiff {
     }
 }
 
+/// One archived result loaded by `--baseline`: name, median ns and
+/// calibration ns.
+type BaselineRow = (String, f64, f64);
+
 /// Collects and runs benchmarks; create with [`Harness::from_args`].
 pub struct Harness {
     full: bool,
     filter: Option<String>,
-    /// `(path, name → baseline median ns)` from `--baseline`, if given.
-    baseline: Option<(String, Vec<(String, f64)>)>,
+    /// `(path, rows)` from `--baseline`, if given.
+    baseline: Option<(String, Vec<BaselineRow>)>,
     /// Shard count the cluster benches ran with, stamped into `meta`.
     shards: Option<u64>,
     /// Network topology the cluster benches ran with (`--topology`
@@ -185,9 +221,9 @@ impl Harness {
         // both cargo flags.
         let full = explicit_mode.unwrap_or(saw_bench && !saw_test);
         let baseline = baseline_path.map(|path| {
-            let medians = load_baseline(&path)
+            let rows = load_baseline(&path)
                 .unwrap_or_else(|e| panic!("loading --baseline {path}: {e}"));
-            (path, medians)
+            (path, rows)
         });
         Harness {
             full,
@@ -264,13 +300,16 @@ impl Harness {
             warmup: self.warmup_iters(),
             samples: self.sample_count(),
             durations: Vec::new(),
+            calibration: Vec::new(),
         };
         f(&mut b);
         assert!(
             !b.durations.is_empty(),
             "benchmark {name} never called iter()/iter_batched()"
         );
-        let mut sorted = b.durations.clone();
+        b.calibration.sort_unstable();
+        let calibration_nanos = b.calibration[b.calibration.len() / 2] as f64;
+        let mut sorted = b.durations;
         sorted.sort_unstable();
         let n = sorted.len();
         let median_nanos = sorted[n / 2] as f64;
@@ -284,32 +323,35 @@ impl Harness {
             p95_nanos,
             mean_nanos,
             bytes,
+            calibration_nanos,
         };
         let throughput = result
             .mb_per_sec()
             .map(|mbps| format!("  {mbps:>8.1} MB/s"))
             .unwrap_or_default();
         println!(
-            "{:<32} median {:>14}  p95 {:>14}  ({} samples){throughput}",
+            "{:<32} median {:>14}  p95 {:>14}  ({} samples, calibration {}){throughput}",
             result.name,
             fmt_nanos(result.median_nanos),
             fmt_nanos(result.p95_nanos),
-            result.samples
+            result.samples,
+            fmt_nanos(result.calibration_nanos)
         );
         self.results.push(result);
     }
 
-    /// Speedup of each benchmark present in both this run and the
-    /// `--baseline` report, in this run's execution order.
+    /// Calibrated speedup of each benchmark present in both this run and
+    /// the `--baseline` report, in this run's execution order.
     fn baseline_diffs(&self) -> Vec<BaselineDiff> {
-        let Some((_, medians)) = &self.baseline else { return Vec::new() };
+        let Some((_, rows)) = &self.baseline else { return Vec::new() };
         self.results
             .iter()
             .filter_map(|r| {
-                let (_, baseline_median_nanos) =
-                    medians.iter().find(|(name, _)| *name == r.name)?;
+                let (_, baseline_median_nanos, baseline_calibration_nanos) =
+                    rows.iter().find(|(name, ..)| *name == r.name)?;
                 let speedup = if r.median_nanos > 0.0 {
-                    baseline_median_nanos / r.median_nanos
+                    (baseline_median_nanos / baseline_calibration_nanos)
+                        / (r.median_nanos / r.calibration_nanos)
                 } else {
                     f64::INFINITY
                 };
@@ -388,7 +430,7 @@ impl Harness {
         );
         if let Some((path, _)) = &self.baseline {
             let diffs = self.baseline_diffs();
-            println!("\nvs baseline {path}:");
+            println!("\nvs baseline {path} (speedups relative to the calibration loop):");
             let mut regressions = 0usize;
             for d in &diffs {
                 println!(
@@ -417,9 +459,10 @@ impl Harness {
     }
 }
 
-/// Reads `name → median_nanos` pairs from an archived BENCH_*.json report
-/// (either the full `{meta, results}` object or a bare results array).
-fn load_baseline(path: &str) -> Result<Vec<(String, f64)>, String> {
+/// Reads `(name, median_nanos, calibration_nanos)` rows from an archived
+/// BENCH_*.json report (either the full `{meta, results}` object or a
+/// bare results array).
+fn load_baseline(path: &str) -> Result<Vec<BaselineRow>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
     let json = kooza_json::parse(&text?).map_err(|e| e.to_string())?;
     let results = match json.get("results") {
@@ -429,7 +472,7 @@ fn load_baseline(path: &str) -> Result<Vec<(String, f64)>, String> {
     let array = results
         .as_array()
         .ok_or_else(|| "baseline has no results array".to_string())?;
-    let mut medians = Vec::with_capacity(array.len());
+    let mut rows = Vec::with_capacity(array.len());
     for entry in array {
         let name = entry
             .get("name")
@@ -439,9 +482,12 @@ fn load_baseline(path: &str) -> Result<Vec<(String, f64)>, String> {
             .get("median_nanos")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("baseline result {name} missing median_nanos"))?;
-        medians.push((name.to_string(), median));
+        let calibration = entry.get("calibration_nanos").and_then(Json::as_f64).ok_or_else(|| {
+            format!("baseline result {name} has no calibration_nanos; regenerate the archive")
+        })?;
+        rows.push((name.to_string(), median, calibration));
     }
-    Ok(medians)
+    Ok(rows)
 }
 
 /// Timing context handed to each benchmark body.
@@ -449,6 +495,8 @@ pub struct Bencher {
     warmup: usize,
     samples: usize,
     durations: Vec<u64>,
+    /// One [`calibration`] timing per measured sample, taken just before it.
+    calibration: Vec<u64>,
 }
 
 impl Bencher {
@@ -459,6 +507,7 @@ impl Bencher {
             std::hint::black_box(routine());
         }
         for _ in 0..self.samples {
+            self.calibrate();
             let start = Instant::now();
             std::hint::black_box(routine());
             self.durations.push(start.elapsed().as_nanos() as u64);
@@ -479,10 +528,18 @@ impl Bencher {
         }
         for _ in 0..self.samples {
             let input = setup();
+            self.calibrate();
             let start = Instant::now();
             std::hint::black_box(routine(input));
             self.durations.push(start.elapsed().as_nanos() as u64);
         }
+    }
+
+    /// Times one run of the [`calibration`] loop.
+    fn calibrate(&mut self) {
+        let start = Instant::now();
+        std::hint::black_box(calibration());
+        self.calibration.push(start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -505,16 +562,19 @@ mod tests {
 
     #[test]
     fn bencher_records_one_duration_per_sample() {
-        let mut b = Bencher { warmup: 2, samples: 5, durations: Vec::new() };
+        let mut b =
+            Bencher { warmup: 2, samples: 5, durations: Vec::new(), calibration: Vec::new() };
         let mut calls = 0u32;
         b.iter(|| calls += 1);
         assert_eq!(calls, 7); // 2 warmup + 5 measured
         assert_eq!(b.durations.len(), 5);
+        assert_eq!(b.calibration.len(), 5);
     }
 
     #[test]
     fn iter_batched_reruns_setup_every_sample() {
-        let mut b = Bencher { warmup: 1, samples: 4, durations: Vec::new() };
+        let mut b =
+            Bencher { warmup: 1, samples: 4, durations: Vec::new(), calibration: Vec::new() };
         let mut setups = 0u32;
         b.iter_batched(
             || {
@@ -528,6 +588,7 @@ mod tests {
         );
         assert_eq!(setups, 5); // 1 warmup + 4 measured
         assert_eq!(b.durations.len(), 4);
+        assert_eq!(b.calibration.len(), 4);
     }
 
     #[test]
@@ -538,7 +599,7 @@ mod tests {
         assert_eq!(fmt_nanos(3_000_000_000.0), "3.00 s");
     }
 
-    fn result(name: &str, median_nanos: f64) -> BenchResult {
+    fn result(name: &str, median_nanos: f64, calibration_nanos: f64) -> BenchResult {
         BenchResult {
             name: name.into(),
             samples: 30,
@@ -547,6 +608,7 @@ mod tests {
             p95_nanos: median_nanos * 1.5,
             mean_nanos: median_nanos,
             bytes: None,
+            calibration_nanos,
         }
     }
 
@@ -559,15 +621,7 @@ mod tests {
             shards: Some(4),
             topology: Some("rack:4:2".into()),
             notes: vec![("incast".into(), Json::U64(7))],
-            results: vec![BenchResult {
-                name: "demo".into(),
-                samples: 30,
-                min_nanos: 1.0,
-                median_nanos: 2.0,
-                p95_nanos: 3.0,
-                mean_nanos: 2.0,
-                bytes: None,
-            }],
+            results: vec![result("demo", 2.0, 1.0)],
         };
         let json = harness.report_json();
         let meta = json.field("meta").unwrap();
@@ -585,9 +639,10 @@ mod tests {
         assert_eq!(notes.field("incast").unwrap().as_f64(), Some(7.0));
     }
 
-    #[test]
-    fn baseline_diffs_flag_regressions_with_tolerance() {
-        let harness = Harness {
+    /// A harness holding `results`, diffed against `baseline`; both are
+    /// `(name, median, calibration)` rows.
+    fn diffed(baseline: &[(&str, f64, f64)], results: &[(&str, f64, f64)]) -> Harness {
+        Harness {
             full: true,
             filter: None,
             shards: None,
@@ -595,20 +650,28 @@ mod tests {
             notes: vec![],
             baseline: Some((
                 "old.json".into(),
-                vec![
-                    ("faster".into(), 2_000.0),
-                    ("steady".into(), 1_000.0),
-                    ("slower".into(), 1_000.0),
-                    ("gone".into(), 5.0),
-                ],
+                baseline.iter().map(|&(n, m, c)| (n.to_string(), m, c)).collect(),
             )),
-            results: vec![
-                result("faster", 1_000.0),
-                result("steady", 1_020.0),
-                result("slower", 1_500.0),
-                result("new_bench", 7.0),
+            results: results.iter().map(|&(n, m, c)| result(n, m, c)).collect(),
+        }
+    }
+
+    #[test]
+    fn baseline_diffs_flag_regressions_with_tolerance() {
+        let harness = diffed(
+            &[
+                ("faster", 2_000.0, 100.0),
+                ("steady", 1_000.0, 100.0),
+                ("slower", 1_000.0, 100.0),
+                ("gone", 5.0, 100.0),
             ],
-        };
+            &[
+                ("faster", 1_000.0, 100.0),
+                ("steady", 1_020.0, 100.0),
+                ("slower", 1_500.0, 100.0),
+                ("new_bench", 7.0, 100.0),
+            ],
+        );
         let diffs = harness.baseline_diffs();
         // Diffs cover the intersection, in this run's order.
         let names: Vec<&str> = diffs.iter().map(|d| d.name.as_str()).collect();
@@ -626,36 +689,57 @@ mod tests {
     }
 
     #[test]
+    fn uniform_host_slowdown_is_not_a_regression() {
+        // The bench and its calibration both run 2x slower: the host
+        // changed, not the code.
+        let harness =
+            diffed(&[("hot_path", 5_000.0, 1_000.0)], &[("hot_path", 10_000.0, 2_000.0)]);
+        let diffs = harness.baseline_diffs();
+        assert!((diffs[0].speedup - 1.0).abs() < 1e-12, "speedup {}", diffs[0].speedup);
+        assert!(!diffs[0].regression);
+    }
+
+    #[test]
+    fn bench_only_slowdown_is_a_regression() {
+        let harness =
+            diffed(&[("hot_path", 5_000.0, 1_000.0)], &[("hot_path", 10_000.0, 1_000.0)]);
+        let diffs = harness.baseline_diffs();
+        assert!((diffs[0].speedup - 0.5).abs() < 1e-12, "speedup {}", diffs[0].speedup);
+        assert!(diffs[0].regression);
+    }
+
+    #[test]
     fn load_baseline_reads_full_reports_and_bare_arrays() {
         let dir = std::env::temp_dir();
         let full = dir.join("kooza_bench_baseline_full_test.json");
         std::fs::write(
             &full,
-            r#"{"meta":{"mode":"full"},"results":[{"name":"a","median_nanos":12.5}]}"#,
+            r#"{"meta":{"mode":"full"},"results":[{"name":"a","median_nanos":12.5,"calibration_nanos":4}]}"#,
         )
         .unwrap();
-        let medians = load_baseline(full.to_str().unwrap()).unwrap();
-        assert_eq!(medians, vec![("a".to_string(), 12.5)]);
+        let rows = load_baseline(full.to_str().unwrap()).unwrap();
+        assert_eq!(rows, vec![("a".to_string(), 12.5, 4.0)]);
         let bare = dir.join("kooza_bench_baseline_bare_test.json");
-        std::fs::write(&bare, r#"[{"name":"b","median_nanos":3}]"#).unwrap();
-        let medians = load_baseline(bare.to_str().unwrap()).unwrap();
-        assert_eq!(medians, vec![("b".to_string(), 3.0)]);
+        std::fs::write(&bare, r#"[{"name":"b","median_nanos":3,"calibration_nanos":2}]"#).unwrap();
+        let rows = load_baseline(bare.to_str().unwrap()).unwrap();
+        assert_eq!(rows, vec![("b".to_string(), 3.0, 2.0)]);
         assert!(load_baseline("/nonexistent/kooza.json").is_err());
         let _ = std::fs::remove_file(full);
         let _ = std::fs::remove_file(bare);
     }
 
     #[test]
+    fn load_baseline_rejects_archive_without_calibration() {
+        let path = std::env::temp_dir().join("kooza_bench_baseline_uncalibrated_test.json");
+        std::fs::write(&path, r#"[{"name":"a","median_nanos":12.5}]"#).unwrap();
+        let err = load_baseline(path.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("calibration_nanos"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
     fn throughput_results_carry_mb_per_sec() {
-        let r = BenchResult {
-            name: "ingest".into(),
-            samples: 3,
-            min_nanos: 1_000.0,
-            median_nanos: 2_000.0,
-            p95_nanos: 3_000.0,
-            mean_nanos: 2_000.0,
-            bytes: Some(1_000_000),
-        };
+        let r = BenchResult { bytes: Some(1_000_000), ..result("ingest", 2_000.0, 500.0) };
         // 1 MB per iteration at 2 µs median = 500k MB/s.
         assert_eq!(r.mb_per_sec(), Some(500_000.0));
         let s = kooza_json::to_string(&r.to_json());
@@ -680,20 +764,14 @@ mod tests {
         h.bench_throughput("tp", 4096, |b| b.iter(|| std::hint::black_box(1 + 1)));
         assert_eq!(h.results.len(), 1);
         assert_eq!(h.results[0].bytes, Some(4096));
+        assert!(h.results[0].calibration_nanos > 0.0);
     }
 
     #[test]
     fn results_serialize_to_json() {
-        let r = BenchResult {
-            name: "demo".into(),
-            samples: 3,
-            min_nanos: 1.0,
-            median_nanos: 2.0,
-            p95_nanos: 3.0,
-            mean_nanos: 2.0,
-            bytes: None,
-        };
+        let r = BenchResult { samples: 3, ..result("demo", 2.0, 1.0) };
         let s = kooza_json::to_string(&r.to_json());
         assert!(s.starts_with("{\"name\":\"demo\",\"samples\":3,"), "{s}");
+        assert!(s.contains("\"calibration_nanos\":1"), "{s}");
     }
 }

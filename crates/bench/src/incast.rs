@@ -9,9 +9,9 @@
 //! in the fan-out — the regime a fixed-capacity link model cannot
 //! express at all.
 //!
-//! Both `benches/fabric.rs` (the incast curve + wall-clock cost) and
-//! `benches/simcore.rs` (the hot-path regression gate) drive this exact
-//! loop, so the two reports measure the same simulated workload.
+//! `benches/fabric.rs` drives it twice: for the simulated incast curve
+//! and as `fabric_incast_32`, the wall-clock bench `scripts/verify.sh`
+//! gates fabric re-rating on.
 
 use kooza_sim::{Endpoint, Fabric, SimDuration, SimTime};
 

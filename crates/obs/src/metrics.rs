@@ -354,17 +354,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Merges a whole histogram into the named slot — one lock-friendly
-    /// call for task-local histograms flushed at task end.
-    pub fn histogram_merge(&mut self, name: &str, histogram: &Histogram) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.merge_from(histogram),
-            None => {
-                self.histograms.insert(name.to_string(), histogram.clone());
-            }
-        }
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()

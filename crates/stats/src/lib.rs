@@ -8,7 +8,6 @@
 //! * [`fit`] — maximum-likelihood fitting and a KS-ranked fitting pipeline,
 //!   the methodology of Feitelson's workload-modeling survey.
 //! * [`ks`] — one- and two-sample Kolmogorov–Smirnov tests.
-//! * [`ad`] — the Anderson–Darling test (tail-sensitive second opinion).
 //! * [`sorted`] — sort-once sample views shared by the `*_presorted` test
 //!   variants and the fitting pipeline's candidate loop.
 //! * [`acf`] — autocorrelation analysis and ACF-matching synthesis (Li's
@@ -20,7 +19,7 @@
 //! * [`cluster`] — k-means and Gaussian-mixture model-based clustering.
 //! * [`regression`] — ordinary least squares.
 //! * [`matrix`] — a small dense linear-algebra kernel backing the above.
-//! * [`summary`] — percentiles, burstiness and dispersion measures.
+//! * [`summary`] — percentiles and burstiness measures.
 //!
 //! # Example: identify an arrival-time distribution
 //!
@@ -42,7 +41,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod acf;
-pub mod ad;
 pub mod cluster;
 pub mod dist;
 pub mod fit;

@@ -1,10 +1,10 @@
 //! Shared sorted-sample views for the goodness-of-fit hot path.
 //!
-//! Every KS/AD call clones and sorts its input, and the fitting pipeline
+//! Every KS call clones and sorts its input, and the fitting pipeline
 //! runs the one-sample KS test once per candidate family — so a seven-way
 //! pipeline used to sort the same data seven times. [`SortedSample`] sorts
-//! once; the `*_presorted` test variants in [`crate::ks`] and [`crate::ad`]
-//! borrow it, turning the candidate loop into one sort plus O(k·n) scans.
+//! once; the `*_presorted` test variants in [`crate::ks`] borrow it,
+//! turning the candidate loop into one sort plus O(k·n) scans.
 
 use crate::{ensure_finite, ensure_len, Result};
 

@@ -10,7 +10,6 @@ use kooza_stats::dist::{
     DiscreteDistribution, Distribution, Exponential, Gamma, Geometric, LogNormal, Normal, Pareto,
     Poisson, Uniform, Weibull, Zipf,
 };
-use kooza_stats::ad::{ad_one_sample, ad_one_sample_presorted};
 use kooza_stats::fit::{
     fit_exponential, fit_lognormal, fit_normal, fit_pareto, fit_weibull, FitPipeline,
 };
@@ -80,7 +79,7 @@ fn mle_recovers_parameters() {
     );
 }
 
-/// The `*_presorted` KS/AD variants over a shared [`SortedSample`] return
+/// The `*_presorted` KS variants over a shared [`SortedSample`] return
 /// bit-identical results to the sort-per-call originals, for arbitrary
 /// sample sizes and shapes.
 #[test]
@@ -102,10 +101,6 @@ fn presorted_tests_bit_identical() {
             ensure_eq!(
                 ks_two_sample(&a, &b).unwrap(),
                 ks_two_sample_presorted(&sa, &sb)
-            );
-            ensure_eq!(
-                ad_one_sample(&a, &reference).unwrap(),
-                ad_one_sample_presorted(&sa, &reference).unwrap()
             );
             Ok(())
         },
